@@ -1,6 +1,6 @@
 """Seedable simulator and protocol engine for four-party quantum secret sharing."""
 
-from .adversary import AttackConfig, apply_intercept_resend, expected_qber_under_attack
+from .adversary import AttackConfig, expected_qber_under_attack
 from .channel import Channel, ProtocolMessage, audit_outcome_hygiene, decode_wire, encode_wire
 from .postproc import (
     KeyMaterial,
@@ -44,6 +44,6 @@ from .quantum import (
     outcome_distribution,
     qber_from_visibility,
 )
-from .source import RoundRecord, SessionStreams, SourceConfig, run_session, sample_window
+from .source import RoundRecord, SessionData, SessionStreams, SourceConfig, run_session
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Eve measures the photon of each attacked mode in a basis drawn from her
 basis set and forwards the eigenstate she found; the parties then measure
 the collapsed state. Attacks on several modes compose sequentially in
 mode order a -> d (the order is contractual so that seeded runs
-reproduce). Classical-channel tampering is out of scope: the channel is
+reproduce). Sampled sessions draw Eve's bases and outcomes in
+``qss4.source``; this module holds the attack configuration and its exact
+enumeration. Classical-channel tampering is out of scope: the channel is
 authenticated by assumption.
 """
 
@@ -52,34 +54,6 @@ class AttackConfig:
             raise ValueError("attack_fraction must lie in [0, 1]")
         if self.attacked_modes and not self.eve_bases:
             raise ValueError("eve_bases must be nonempty when modes are attacked")
-
-
-def apply_intercept_resend(
-    state: PureState, config: AttackConfig, rng: np.random.Generator
-) -> PureState:
-    """Perturb one round's state according to the attack configuration.
-
-    With probability ``attack_fraction`` Eve measures each attacked mode
-    in a uniformly drawn basis from her set and resends the measured
-    eigenstate; otherwise the state passes untouched.
-    """
-    if not config.attacked_modes or config.attack_fraction == 0.0:
-        return state
-    if rng.random() >= config.attack_fraction:
-        return state
-    current = state
-    for mode in config.attacked_modes:
-        phi = config.eve_bases[int(rng.integers(len(config.eve_bases)))]
-        p_plus, plus_state = collapse_after_single_mode_measurement(current, mode, phi, +1)
-        if rng.random() < p_plus:
-            chosen = plus_state
-        else:
-            _, chosen = collapse_after_single_mode_measurement(current, mode, phi, -1)
-        if chosen is None:
-            # numerically dead branch; take the live one
-            chosen = plus_state if plus_state is not None else current
-        current = chosen
-    return current
 
 
 def enumerate_attack_branches(
@@ -170,7 +144,6 @@ def marginal_under_attack(
 
 __all__ = [
     "AttackConfig",
-    "apply_intercept_resend",
     "enumerate_attack_branches",
     "expected_qber_under_attack",
     "marginal_under_attack",

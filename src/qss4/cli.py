@@ -220,10 +220,7 @@ def _attack_from_config(cfg: ExperimentConfig, mode: Mode) -> AttackConfig | Non
     if not cfg.attack_modes:
         return None
     if cfg.eve_bases:
-        try:
-            bases = tuple(parse_angle(part) for part in cfg.eve_bases.split(","))
-        except ConfigError:
-            raise
+        bases = tuple(parse_angle(part) for part in cfg.eve_bases.split(","))
     else:
         bases = _keying_phases(mode)
     return AttackConfig(
@@ -239,6 +236,14 @@ def _source_from_config(cfg: ExperimentConfig) -> SourceConfig:
         window_seconds=cfg.window_seconds,
         first_event_only=cfg.first_event_only,
         detector_efficiency=cfg.detector_efficiency,
+    )
+
+
+def _thresholds_from_config(cfg: ExperimentConfig) -> Thresholds:
+    return Thresholds(
+        qber_abort_above=cfg.qber_threshold,
+        bell_margin_sigmas=cfg.bell_margin,
+        sample_fraction=cfg.sample_fraction,
     )
 
 
@@ -402,11 +407,6 @@ def cmd_qss_run(cfg: ExperimentConfig) -> int:
     target = cfg.target_bits
     if windows is None and target is None:
         target = 2000
-    thresholds = Thresholds(
-        qber_abort_above=cfg.qber_threshold,
-        bell_margin_sigmas=cfg.bell_margin,
-        sample_fraction=cfg.sample_fraction,
-    )
     result = run_protocol(
         mode=mode,
         visibility=cfg.visibility,
@@ -415,7 +415,7 @@ def cmd_qss_run(cfg: ExperimentConfig) -> int:
         attack=_attack_from_config(cfg, mode),
         n_windows=windows,
         target_sifted_bits=target,
-        thresholds=thresholds,
+        thresholds=_thresholds_from_config(cfg),
         seed=cfg.seed,
     )
     if cfg.dump_records:
@@ -491,11 +491,6 @@ def cmd_bell_test(cfg: ExperimentConfig) -> int:
 
     if cfg.windows is None and cfg.target_bits is None:
         raise ConfigError("bell-test needs windows or target_bits (or analytic=true)")
-    thresholds = Thresholds(
-        qber_abort_above=cfg.qber_threshold,
-        bell_margin_sigmas=cfg.bell_margin,
-        sample_fraction=cfg.sample_fraction,
-    )
     result = run_protocol(
         mode=Mode.BELL,
         visibility=cfg.visibility,
@@ -504,7 +499,7 @@ def cmd_bell_test(cfg: ExperimentConfig) -> int:
         attack=_attack_from_config(cfg, Mode.BELL),
         n_windows=cfg.windows,
         target_sifted_bits=cfg.target_bits,
-        thresholds=thresholds,
+        thresholds=_thresholds_from_config(cfg),
         seed=cfg.seed,
     )
     rep = result.check_report

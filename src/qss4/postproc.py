@@ -249,8 +249,8 @@ class _Cascade:
         k = self.block_sizes[p]
         return [(lo, min(lo + k, self.n)) for lo in range(0, self.n, k)]
 
-    def scan_pass(self, p: int) -> deque:
-        """Transmit (or derive) all block parities of a pass; queue mismatches."""
+    def scan_pass(self, p: int) -> list[tuple[int, int, int]]:
+        """Transmit (or derive) all block parities of a pass; heap of mismatches."""
         blocks = self._blocks(p)
         batch: list = []
         known_xor = 0
@@ -280,7 +280,7 @@ class _Cascade:
                     "parities": [v for (_, _, _, v) in batch],
                 },
             )
-        queue: list = []
+        queue: list[tuple[int, int, int]] = []
         for b, (lo, hi) in enumerate(blocks):
             if self.cache[(p, lo, hi)] != self.access_parity(p, lo, hi):
                 heapq.heappush(queue, (self.block_sizes[p], p, b))

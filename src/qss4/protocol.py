@@ -48,7 +48,7 @@ from .quantum import (
 )
 from .source import (
     PartySchedule,
-    RoundRecord,
+    SessionData,
     SessionStreams,
     SourceConfig,
     run_session,
@@ -444,7 +444,7 @@ class SessionResult:
     visibility: float
     seed: int
     thresholds: Thresholds
-    records: list[RoundRecord]
+    records: SessionData
     channel: Channel
     counts: SessionCounts
     check_report: CheckReport
@@ -464,21 +464,6 @@ class SessionResult:
         if seconds <= 0:
             return None
         return self.counts.key_pool * 3600.0 / seconds
-
-
-def _record_views(records: Sequence[RoundRecord]):
-    n = len(records)
-    detected = np.zeros(n, dtype=bool)
-    labels = np.zeros((4, n), dtype=np.int64)
-    bits = np.full((4, n), -1, dtype=np.int64)
-    rounds = np.zeros(n, dtype=np.int64)
-    for i, rec in enumerate(records):
-        detected[i] = rec.detected
-        labels[:, i] = rec.labels
-        rounds[i] = rec.round_index
-        if rec.detected:
-            bits[:, i] = rec.outcome_bits
-    return detected, labels, bits, rounds
 
 
 def _announce(channel: Channel, party: str, dealer: str, detected: np.ndarray, labels: np.ndarray) -> None:
@@ -556,8 +541,6 @@ def run_protocol(
     streams = SessionStreams.from_seed(seed)
     state = make_psi4_minus()
 
-    records: list[RoundRecord] = []
-    windows = 0
     if n_windows is not None:
         records = run_session(n_windows, schedules, state, noise, config, streams)
         windows = n_windows
@@ -566,18 +549,22 @@ def run_protocol(
         if rate <= 0.0:
             raise InsufficientStatisticsError("source configuration yields no detections")
         need = int(target_sifted_bits / rate * 1.15) + 64
+        chunks: list[SessionData] = []
+        windows = key_bits = 0
         while True:
             chunk = run_session(
                 need, schedules, state, noise, config, streams, first_round_index=windows
             )
-            records.extend(chunk)
+            chunks.append(chunk)
             windows += need
-            detected, labels, _, rounds = _record_views(records)
-            key_idx, _ = sift(mode, np.tile(detected, (4, 1)), labels, rounds)
-            if len(key_idx) >= target_sifted_bits:
+            # sifting is per record, so the key pool grows by each chunk's share
+            key_idx, _ = sift(mode, np.tile(chunk.detected, (4, 1)), chunk.labels, chunk.rounds)
+            key_bits += len(key_idx)
+            if key_bits >= target_sifted_bits:
                 break
-            shortfall = target_sifted_bits - len(key_idx)
+            shortfall = target_sifted_bits - key_bits
             need = max(int(shortfall / rate * 1.25) + 64, 256)
+        records = SessionData.concat(chunks)
 
     return _protocol_over_records(
         records,
@@ -594,7 +581,7 @@ def run_protocol(
 
 
 def replay_protocol(
-    records: Sequence[RoundRecord],
+    records: SessionData,
     mode: Mode = Mode.QBER,
     dealer: str = "Alice",
     thresholds: Thresholds | None = None,
@@ -608,9 +595,9 @@ def replay_protocol(
     sample positions, so replaying a dumped record file reproduces the
     live session's sift decision and check report exactly.
     """
-    windows = 1 + max((r.round_index for r in records), default=-1)
+    windows = 1 + int(records.rounds.max(initial=-1))
     return _protocol_over_records(
-        list(records),
+        records,
         mode=mode,
         dealer=dealer,
         thresholds=thresholds,
@@ -624,7 +611,7 @@ def replay_protocol(
 
 
 def _protocol_over_records(
-    records: list[RoundRecord],
+    records: SessionData,
     mode: Mode,
     dealer: str,
     thresholds: Thresholds | None,
@@ -638,19 +625,19 @@ def _protocol_over_records(
     make_roles(dealer)
     thresholds = thresholds or Thresholds()
     schedule = BasisSchedule(mode)
-    detected_arr, labels_arr, bits_arr, rounds_arr = _record_views(records)
+    detected_arr = records.detected
     n = len(records)
 
     channel = Channel()
     for party in PARTIES:
         row = PARTIES.index(party)
-        _announce(channel, party, dealer, detected_arr, labels_arr[row])
+        _announce(channel, party, dealer, detected_arr, records.labels[row])
 
     inbox = channel.drain(dealer)
     table_detected, table_labels = _dealer_table(
-        n, dealer, detected_arr, labels_arr[PARTIES.index(dealer)], inbox
+        n, dealer, detected_arr, records.labels[PARTIES.index(dealer)], inbox
     )
-    key_idx, bell_idx = sift(mode, table_detected, table_labels, rounds_arr)
+    key_idx, bell_idx = sift(mode, table_detected, table_labels, records.rounds)
     if target_sifted_bits is not None:
         key_idx = key_idx[:target_sifted_bits]
     channel.broadcast(
@@ -661,10 +648,7 @@ def _protocol_over_records(
         )
     )
 
-    key_pool = SiftedKey(
-        indices=key_idx,
-        bits={p: bits_arr[PARTIES.index(p), key_idx].astype(np.uint8) for p in PARTIES},
-    )
+    key_pool = SiftedKey(indices=key_idx, bits=dict(zip(PARTIES, records.bits_at(key_idx))))
 
     if mode is Mode.QBER:
         if len(key_pool) < 2:
@@ -680,9 +664,7 @@ def _protocol_over_records(
             abort_above=thresholds.qber_abort_above,
         )
     else:
-        pool_bits = {
-            p: bits_arr[PARTIES.index(p), bell_idx].astype(np.uint8) for p in PARTIES
-        }
+        pool_bits = dict(zip(PARTIES, records.bits_at(bell_idx)))
         pool_labels = table_labels[:, bell_idx].T
         report = bell_check(
             bell_idx,

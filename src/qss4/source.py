@@ -5,27 +5,29 @@ first four-photon event of a window is kept, and each of its four photons
 independently survives the detector with the configured efficiency. All
 randomness flows through named, seed-derived streams so a session is
 bit-reproducible and each party's basis sequence can be regenerated in
-isolation.
+isolation. A session is held as :class:`SessionData`, one numpy column
+per field, never as per-window objects.
 
 Record files are line oriented, one round per line, comma separated:
 
     round_index,label_a,label_b,label_c,label_d,
     phi_a,phi_b,phi_c,phi_d,detected,bits
 
-with phases printed via repr (exact float round trip) and ``bits`` either
-four characters of 0/1 or ``-`` for an undetected round.
+with phases printed via repr (exact float round trip), labels and
+``detected`` either 0 or 1, and ``bits`` exactly four characters of 0/1
+on a detected round and ``-`` on an undetected one. :func:`read_records`
+rejects any other field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .quantum import (
     NoiseModel,
-    OutcomeDistribution,
     PureState,
     make_psi4_minus,
     outcome_distribution,
@@ -35,6 +37,9 @@ from .quantum import (
 #: Typical silicon avalanche photodiode efficiency at the source
 #: wavelength, usable via :meth:`SourceConfig.lab_preset`.
 LAB_DETECTOR_EFFICIENCY = 0.4
+
+#: Right shifts that take a pattern index to the bits of parties a..d.
+_BIT_SHIFTS = np.array([[3], [2], [1], [0]], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,9 @@ class RoundRecord:
 
     ``labels`` are the per-party basis choices (0 or 1 into that party's
     two-phase set for the round), ``phases`` the resolved analyzer phases.
-    ``outcome_bits`` is present exactly when ``detected`` is set.
+    ``outcome_bits`` (four 0/1 values) is present exactly when ``detected``
+    is set. Sessions are stored as :class:`SessionData`; a record is a view
+    of one of its entries.
     """
 
     round_index: int
@@ -98,6 +105,62 @@ class RoundRecord:
     def __post_init__(self) -> None:
         if self.detected != (self.outcome_bits is not None):
             raise ValueError("outcome_bits must be present iff detected")
+        if self.outcome_bits is not None and (
+            len(self.outcome_bits) != 4 or any(b not in (0, 1) for b in self.outcome_bits)
+        ):
+            raise ValueError(f"outcome_bits must be four 0/1 values, got {self.outcome_bits!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class SessionData:
+    """Columnar session log: entry ``i`` of every column is record ``i``.
+
+    ``rounds`` (int64) holds window indices, ``labels`` (uint8, 4 x n) the
+    per-party basis labels, ``phases`` (float64, 4 x n) the resolved
+    analyzer phases and ``outcomes`` (int8) the detected pattern index,
+    -1 for an undetected round. Indexing and iteration yield
+    :class:`RoundRecord` views built on demand; equality compares columns.
+    """
+
+    rounds: np.ndarray
+    labels: np.ndarray
+    phases: np.ndarray
+    outcomes: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: Sequence["SessionData"]) -> "SessionData":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts], axis=-1)
+                     for f in fields(cls)))
+
+    @property
+    def detected(self) -> np.ndarray:
+        return self.outcomes >= 0
+
+    def bits_at(self, positions) -> np.ndarray:
+        """(4, k) uint8 outcome bits of the (detected) records at ``positions``."""
+        return ((self.outcomes[positions] >> _BIT_SHIFTS) & 1).astype(np.uint8)
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, i) -> RoundRecord:
+        outcome = int(self.outcomes[i])
+        return RoundRecord(
+            round_index=int(self.rounds[i]),
+            labels=tuple(self.labels[:, i].tolist()),
+            phases=tuple(self.phases[:, i].tolist()),
+            detected=outcome >= 0,
+            outcome_bits=pattern_bits(outcome) if outcome >= 0 else None,
+        )
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SessionData):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -145,26 +208,6 @@ class SessionStreams:
         """Regenerate a single party's stream without touching the others."""
         children = np.random.SeedSequence(seed).spawn(7)
         return np.random.default_rng(children[party_index])
-
-
-def sample_window(
-    config: SourceConfig, dist: OutcomeDistribution, rng: np.random.Generator
-) -> tuple[int, int, int, int] | None:
-    """Draw one acquisition window under the first-event rule.
-
-    Draws the Poisson event count; with no event, or with any photon of
-    the first event lost to detector inefficiency, the window yields no
-    detection. Otherwise one outcome is sampled from ``dist``.
-    """
-    n_events = int(rng.poisson(config.mean_events_per_window))
-    if n_events == 0:
-        return None
-    survival = rng.random(4)
-    if np.any(survival >= config.detector_efficiency):
-        return None
-    u = rng.random()
-    idx = int(np.searchsorted(dist.cdf(), u, side="right"))
-    return pattern_bits(min(idx, 15))
 
 
 class _DistributionCache:
@@ -228,6 +271,38 @@ def _eve_state_key(
     return key
 
 
+def _sample_outcomes(
+    cache: _DistributionCache,
+    attack,
+    adversary: np.random.Generator,
+    phases: np.ndarray,
+    phase_codes: np.ndarray,
+    windows: np.ndarray,
+    uniforms: np.ndarray,
+    attacked: np.ndarray,
+) -> np.ndarray:
+    """Outcome pattern index of each detection; ``windows`` gives its window.
+
+    Each attacked detection first walks Eve's collapse, in detection
+    order, on the adversary stream. Detections are then grouped on
+    (state, phase tuple) and every group is inverted through its CDF with
+    one vectorized ``searchsorted``, each detection using its own uniform.
+    """
+    state_ids = {(): 0}
+    state_of = np.zeros(len(windows), dtype=np.int64)
+    for j in np.nonzero(attacked)[0]:
+        key = _eve_state_key(cache, attack, adversary)
+        state_of[j] = state_ids.setdefault(key, len(state_ids))
+    states = list(state_ids)
+    groups = state_of << 8 | phase_codes[windows]
+    outcomes = np.empty(len(windows), dtype=np.int8)
+    for group in np.unique(groups):
+        members = np.nonzero(groups == group)[0]
+        cdf = cache.cdf(states[group >> 8], tuple(phases[:, windows[members[0]]]))
+        outcomes[members] = np.searchsorted(cdf, uniforms[members], side="right")
+    return outcomes
+
+
 def run_session(
     n_windows: int,
     schedules: Sequence[PartySchedule],
@@ -236,13 +311,13 @@ def run_session(
     config: SourceConfig,
     streams: SessionStreams | int,
     first_round_index: int = 0,
-) -> list[RoundRecord]:
+) -> SessionData:
     """Simulate ``n_windows`` acquisition windows and log one record per round.
 
     Basis labels come from the per-party streams, event counts and
     outcomes from the source stream, attack randomness (round selection,
     Eve's bases and outcomes) from the adversary stream. Identical seeds
-    and configuration reproduce the record list bit for bit.
+    and configuration reproduce the session bit for bit.
     """
     if n_windows < 0:
         raise ValueError("n_windows must be >= 0")
@@ -252,19 +327,23 @@ def run_session(
         streams = SessionStreams.from_seed(streams)
     if state is None:
         state = make_psi4_minus()
-    if n_windows == 0:
-        return []
 
-    round_indices = np.arange(first_round_index, first_round_index + n_windows)
-    labels = np.stack([streams.parties[i].integers(0, 2, n_windows) for i in range(4)])
+    round_indices = np.arange(first_round_index, first_round_index + n_windows, dtype=np.int64)
+    labels = np.stack(
+        [streams.parties[i].integers(0, 2, n_windows) for i in range(4)]
+    ).astype(np.uint8)
     phases = np.empty((4, n_windows), dtype=np.float64)
+    # two bits per party, (override round, label), name each window's phase tuple
+    phase_codes = np.zeros(n_windows, dtype=np.int64)
     for i, sched in enumerate(schedules):
         base = np.asarray(sched.phases, dtype=np.float64)
         phases[i] = base[labels[i]]
+        phase_codes |= labels[i].astype(np.int64) << (2 * i)
         if sched.override_every > 0:
             mask = (round_indices % sched.override_every) == 0
             over = np.asarray(sched.override_phases, dtype=np.float64)
             phases[i, mask] = over[labels[i, mask]]
+            phase_codes |= mask.astype(np.int64) << (2 * i + 1)
 
     counts = streams.source.poisson(config.mean_events_per_window, n_windows)
 
@@ -281,70 +360,32 @@ def run_session(
         survive = np.all(
             streams.source.random((n_windows, 4)) < config.detector_efficiency, axis=1
         )
-        detected = (counts > 0) & survive
+        hits = np.nonzero((counts > 0) & survive)[0]
         uniforms = streams.source.random(n_windows)
-        outcome_idx = np.full(n_windows, -1, dtype=np.int64)
+        outcomes = np.full(n_windows, -1, dtype=np.int8)
+        outcomes[hits] = _sample_outcomes(
+            cache, attack, streams.adversary, phases, phase_codes,
+            hits, uniforms[hits], attacked[hits],
+        )
+        return SessionData(round_indices, labels, phases, outcomes)
 
-        plain = detected & ~attacked
-        for window in np.nonzero(plain)[0]:
-            phase_key = tuple(phases[:, window])
-            cdf = cache.cdf((), phase_key)
-            outcome_idx[window] = np.searchsorted(cdf, uniforms[window], side="right")
-        for window in np.nonzero(detected & attacked)[0]:
-            key = _eve_state_key(cache, attack, streams.adversary)
-            phase_key = tuple(phases[:, window])
-            cdf = cache.cdf(key, phase_key)
-            outcome_idx[window] = np.searchsorted(cdf, uniforms[window], side="right")
-
-        records = []
-        for w in range(n_windows):
-            if detected[w]:
-                bits = pattern_bits(min(int(outcome_idx[w]), 15))
-            else:
-                bits = None
-            records.append(
-                RoundRecord(
-                    round_index=int(round_indices[w]),
-                    labels=tuple(int(v) for v in labels[:, w]),
-                    phases=tuple(float(v) for v in phases[:, w]),
-                    detected=bool(detected[w]),
-                    outcome_bits=bits,
-                )
-            )
-        return records
-
-    # count-all mode: every surviving event in a window becomes a record
+    # count-all mode: every surviving event in a window becomes a record; a
+    # window without one keeps a single undetected placeholder record
     total_events = int(counts.sum())
     survive = np.all(
         streams.source.random((total_events, 4)) < config.detector_efficiency, axis=1
     )
     uniforms = streams.source.random(total_events)
-    records = []
-    event = 0
-    for w in range(n_windows):
-        window_bits: list[tuple[int, int, int, int]] = []
-        phase_key = tuple(phases[:, w])
-        for _ in range(int(counts[w])):
-            if survive[event]:
-                if attacked[w]:
-                    key = _eve_state_key(cache, attack, streams.adversary)
-                else:
-                    key = ()
-                cdf = cache.cdf(key, phase_key)
-                idx = int(np.searchsorted(cdf, uniforms[event], side="right"))
-                window_bits.append(pattern_bits(min(idx, 15)))
-            event += 1
-        base = dict(
-            round_index=int(round_indices[w]),
-            labels=tuple(int(v) for v in labels[:, w]),
-            phases=tuple(float(v) for v in phases[:, w]),
-        )
-        if not window_bits:
-            records.append(RoundRecord(detected=False, **base))
-        else:
-            for bits in window_bits:
-                records.append(RoundRecord(detected=True, outcome_bits=bits, **base))
-    return records
+    hits = np.repeat(np.arange(n_windows), counts)[survive]
+    sampled = _sample_outcomes(
+        cache, attack, streams.adversary, phases, phase_codes,
+        hits, uniforms[survive], attacked[hits],
+    )
+    per_window = np.bincount(hits, minlength=n_windows)
+    rows = np.repeat(np.arange(n_windows), np.maximum(per_window, 1))
+    outcomes = np.full(len(rows), -1, dtype=np.int8)
+    outcomes[per_window[rows] > 0] = sampled
+    return SessionData(round_indices[rows], labels[:, rows], phases[:, rows], outcomes)
 
 
 RECORD_HEADER = (
@@ -352,23 +393,26 @@ RECORD_HEADER = (
     "phi_a,phi_b,phi_c,phi_d,detected,bits"
 )
 
+#: Bits field of each pattern index, party a first; ``-`` when undetected.
+_BITS_TEXT = [format(i, "04b") for i in range(16)]
+_OUTCOME_OF_BITS = {text: i for i, text in enumerate(_BITS_TEXT)}
 
-def write_records(records: Sequence[RoundRecord], path) -> None:
+
+def write_records(records: SessionData, path) -> None:
+    columns = (
+        [records.rounds.tolist()]
+        + records.labels.tolist()
+        + [[repr(p) for p in row] for row in records.phases.tolist()]
+        + [[f"1,{_BITS_TEXT[o]}" if o >= 0 else "0,-" for o in records.outcomes.tolist()]]
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(RECORD_HEADER + "\n")
-        for rec in records:
-            bits = "".join(str(b) for b in rec.outcome_bits) if rec.detected else "-"
-            fields = (
-                [str(rec.round_index)]
-                + [str(l) for l in rec.labels]
-                + [repr(p) for p in rec.phases]
-                + [str(int(rec.detected)), bits]
-            )
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
 
 
-def read_records(path) -> list[RoundRecord]:
-    records = []
+def read_records(path) -> SessionData:
+    """Parse a record file, rejecting any field the writer cannot produce."""
+    rounds, labels, phases, outcomes = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != RECORD_HEADER:
@@ -380,17 +424,22 @@ def read_records(path) -> list[RoundRecord]:
             parts = line.split(",")
             if len(parts) != 11:
                 raise ValueError(f"bad record line: {line!r}")
-            detected = bool(int(parts[9]))
-            bits = None
-            if detected:
-                bits = tuple(int(ch) for ch in parts[10])
-            records.append(
-                RoundRecord(
-                    round_index=int(parts[0]),
-                    labels=tuple(int(v) for v in parts[1:5]),
-                    phases=tuple(float(v) for v in parts[5:9]),
-                    detected=detected,
-                    outcome_bits=bits,
-                )
-            )
-    return records
+            detected, bits = parts[9], parts[10]
+            if detected == "1" and bits in _OUTCOME_OF_BITS:
+                outcomes.append(_OUTCOME_OF_BITS[bits])
+            elif detected == "0" and bits == "-":
+                outcomes.append(-1)
+            else:
+                raise ValueError(f"bad detected/bits fields {detected!r},{bits!r}: {line!r}")
+            if any(v not in ("0", "1") for v in parts[1:5]):
+                raise ValueError(f"basis labels must be 0 or 1: {line!r}")
+            rounds.append(int(parts[0]))
+            labels.extend(parts[1:5])
+            phases.extend(parts[5:9])
+    n = len(rounds)
+    return SessionData(
+        np.array(rounds, dtype=np.int64),
+        np.fromiter(map(int, labels), np.uint8, 4 * n).reshape(n, 4).T.copy(),
+        np.fromiter(map(float, phases), np.float64, 4 * n).reshape(n, 4).T.copy(),
+        np.array(outcomes, dtype=np.int8),
+    )

@@ -5,12 +5,12 @@ import pytest
 
 from qss4.adversary import (
     AttackConfig,
-    apply_intercept_resend,
     enumerate_attack_branches,
     expected_qber_under_attack,
     marginal_under_attack,
 )
-from qss4.quantum import make_psi4_minus, outcome_distribution
+from qss4.quantum import NoiseModel, make_psi4_minus
+from qss4.source import PartySchedule, SessionStreams, SourceConfig, run_session
 
 KEYING = (0.0, math.pi / 2)
 
@@ -29,10 +29,23 @@ def test_config_validation():
     assert config.attacked_modes == ("b", "d")
 
 
+def _attacked_session(n, attack, phase, seed, rate=5.0):
+    schedules = tuple(PartySchedule(phases=(phase, phase)) for _ in range(4))
+    streams = SessionStreams.from_seed(seed)
+    records = run_session(
+        n, schedules, make_psi4_minus(), NoiseModel(visibility=1.0, attack=attack),
+        SourceConfig(four_photon_rate=rate), streams,
+    )
+    return records, streams
+
+
 def test_zero_fraction_is_identity():
-    state = make_psi4_minus()
     config = AttackConfig(attacked_modes=("b",), eve_bases=KEYING, attack_fraction=0.0)
-    assert apply_intercept_resend(state, config, np.random.default_rng(0)) is state
+    attacked, streams = _attacked_session(3000, config, 0.0, seed=4)
+    clean, clean_streams = _attacked_session(3000, None, 0.0, seed=4)
+    assert attacked == clean
+    # a zero-fraction attack never touches the adversary stream
+    assert streams.adversary.random() == clean_streams.adversary.random()
 
 
 def test_expected_qber_without_attack_matches_visibility():
@@ -86,15 +99,11 @@ def test_no_signaling_marginals_stay_uniform():
 def test_monte_carlo_agrees_with_enumeration():
     config = AttackConfig(attacked_modes=("b",), eve_bases=KEYING, attack_fraction=1.0)
     expected = expected_qber_under_attack(config, (0.0,), visibility=1.0)
-    rng = np.random.default_rng(21)
-    state = make_psi4_minus()
-    n = 20_000
-    errors = 0
-    for _ in range(n):
-        perturbed = apply_intercept_resend(state, config, rng)
-        dist = outcome_distribution(perturbed, (0.0,) * 4)
-        idx = int(np.searchsorted(dist.cdf(), rng.random(), side="right"))
-        errors += bin(min(idx, 15)).count("1") % 2
+    records, _ = _attacked_session(20_200, config, 0.0, seed=21)
+    outcomes = records.outcomes[records.detected]
+    n = len(outcomes)
+    assert n > 19_000
+    errors = sum(bin(int(o)).count("1") % 2 for o in outcomes)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(errors / n - expected) < 3 * sigma
 

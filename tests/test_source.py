@@ -4,26 +4,29 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qss4.quantum import NoiseModel, OutcomeDistribution, make_psi4_minus, outcome_distribution
+from qss4.adversary import AttackConfig
+from qss4.quantum import NoiseModel, PureState, make_psi4_minus, outcome_distribution, pattern_bits
 from qss4.source import (
+    RECORD_HEADER,
     PartySchedule,
     RoundRecord,
+    SessionData,
     SessionStreams,
     SourceConfig,
     read_records,
     run_session,
-    sample_window,
     write_records,
 )
+from qss4.source import _DistributionCache, _eve_state_key
 
 SCHEDULES = tuple(PartySchedule(phases=(0.0, math.pi / 2)) for _ in range(4))
 
 
-def _session(n, seed=0, config=None, visibility=1.0, schedules=SCHEDULES):
+def _session(n, seed=0, config=None, visibility=1.0, schedules=SCHEDULES, state=None):
     return run_session(
         n,
         schedules,
-        make_psi4_minus(),
+        state or make_psi4_minus(),
         NoiseModel(visibility=visibility),
         config or SourceConfig(),
         SessionStreams.from_seed(seed),
@@ -47,6 +50,12 @@ def test_round_record_consistency():
         RoundRecord(0, (0, 0, 0, 0), (0.0,) * 4, detected=False, outcome_bits=(0, 0, 1, 1))
 
 
+@pytest.mark.parametrize("bits", [(0, 1, 1), (0, 1, 1, 0, 1), (0, 1, 2, 3), (0, 0, -1, 1)])
+def test_round_record_rejects_bad_outcome_bits(bits):
+    with pytest.raises(ValueError, match="four 0/1 values"):
+        RoundRecord(0, (0, 0, 0, 0), (0.0,) * 4, detected=True, outcome_bits=bits)
+
+
 def test_schedule_override():
     sched = PartySchedule(
         phases=(1.0, 2.0), override_phases=(3.0, 4.0), override_every=5
@@ -59,31 +68,30 @@ def test_schedule_override():
 
 
 def test_sample_window_zero_rate():
-    rng = np.random.default_rng(0)
-    dist = outcome_distribution(make_psi4_minus(), (0.0,) * 4)
-    config = SourceConfig(four_photon_rate=0.0)
-    assert all(sample_window(config, dist, rng) is None for _ in range(20))
+    records = _session(2000, config=SourceConfig(four_photon_rate=0.0))
+    assert len(records) == 2000
+    assert not records.detected.any()
+    assert all(r.outcome_bits is None for r in records)
 
 
 def test_sample_window_point_mass():
-    rng = np.random.default_rng(1)
-    probs = np.zeros(16)
-    probs[0b0011] = 1.0
-    dist = OutcomeDistribution(probs)
-    config = SourceConfig(four_photon_rate=50.0)
-    outcomes = [sample_window(config, dist, rng) for _ in range(50)]
-    assert all(o == (0, 0, 1, 1) for o in outcomes)
+    amplitudes = np.zeros(16, dtype=np.complex128)
+    amplitudes[0b0011] = 1.0
+    schedules = tuple(PartySchedule(phases=(0.0, 0.0)) for _ in range(4))
+    records = _session(
+        200, seed=1, config=SourceConfig(four_photon_rate=50.0),
+        schedules=schedules, state=PureState(amplitudes),
+    )
+    assert records.detected.all()
+    assert all(r.outcome_bits == (0, 0, 1, 1) for r in records)
 
 
 def test_sample_window_detection_rate():
-    rng = np.random.default_rng(2)
-    dist = outcome_distribution(make_psi4_minus(), (0.0,) * 4)
-    config = SourceConfig(four_photon_rate=0.4)
     n = 120_000
-    hits = sum(sample_window(config, dist, rng) is not None for _ in range(n))
+    records = _session(n, seed=2, config=SourceConfig(four_photon_rate=0.4))
     p = 1 - math.exp(-0.4)
     sigma = math.sqrt(p * (1 - p) / n)
-    assert abs(hits / n - p) < 3 * sigma
+    assert abs(records.detected.sum() / n - p) < 3 * sigma
 
 
 def test_session_deterministic():
@@ -155,3 +163,98 @@ def test_record_file_rejects_bad_header(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(ValueError, match="header"):
         read_records(path)
+
+
+def test_session_data_views():
+    records = _session(400, seed=10, config=SourceConfig(four_photon_rate=1.0))
+    views = list(records)
+    assert len(views) == len(records) == 400
+    assert records[7] == views[7] and records[-1] == views[-1]
+    positions = np.nonzero(records.detected)[0]
+    bits = records.bits_at(positions)
+    assert bits.shape == (4, len(positions)) and bits.dtype == np.uint8
+    assert [tuple(col) for col in bits.T.tolist()] == [views[i].outcome_bits for i in positions]
+    columns = (records.rounds, records.labels, records.phases, records.outcomes)
+    head = SessionData(*(col[..., :150] for col in columns))
+    tail = SessionData(*(col[..., 150:] for col in columns))
+    assert SessionData.concat([head, tail]) == records
+    assert head != records
+
+
+def _write_lines(path, *lines):
+    path.write_text("\n".join((RECORD_HEADER,) + lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1,0123", "detected/bits"),
+        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1,01", "detected/bits"),
+        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1,-", "detected/bits"),
+        ("0,0,1,0,1,0.0,0.0,0.0,0.0,0,0101", "detected/bits"),
+        ("0,0,1,0,1,0.0,0.0,0.0,0.0,2,0101", "detected/bits"),
+        ("0,0,1,0,2,0.0,0.0,0.0,0.0,1,0101", "labels"),
+        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1", "bad record line"),
+    ],
+)
+def test_record_file_rejects_bad_fields(tmp_path, line, problem):
+    path = tmp_path / "bad.records"
+    _write_lines(path, "0,0,0,0,0,0.0,0.0,0.0,0.0,0,-", line)
+    with pytest.raises(ValueError, match=problem):
+        read_records(path)
+    _write_lines(path, "0,0,0,0,0,0.0,0.0,0.0,0.0,0,-")
+    assert len(read_records(path)) == 1
+
+
+def _reference_session(n, schedules, noise, config, seed):
+    """Per-window loop over the same streams: the reference for run_session."""
+    streams = SessionStreams.from_seed(seed)
+    labels = [streams.parties[i].integers(0, 2, n) for i in range(4)]
+    phases = [
+        tuple(sched.round_phases(w)[labels[i][w]] for i, sched in enumerate(schedules))
+        for w in range(n)
+    ]
+    counts = streams.source.poisson(config.mean_events_per_window, n)
+    attack = noise.attack
+    if attack is not None and attack.attack_fraction > 0 and attack.attacked_modes:
+        attacked = streams.adversary.random(n) < attack.attack_fraction
+    else:
+        attacked = np.zeros(n, dtype=bool)
+    cache = _DistributionCache(make_psi4_minus(), noise)
+    events = n if config.first_event_only else int(counts.sum())
+    survive = np.all(streams.source.random((events, 4)) < config.detector_efficiency, axis=1)
+    uniforms = streams.source.random(events)
+    windows = range(n) if config.first_event_only else np.repeat(np.arange(n), counts)
+    bits = [[] for _ in range(n)]
+    for event, w in enumerate(windows):
+        if survive[event] and counts[w] > 0:
+            key = _eve_state_key(cache, attack, streams.adversary) if attacked[w] else ()
+            idx = int(np.searchsorted(cache.cdf(key, phases[w]), uniforms[event], side="right"))
+            bits[w].append(pattern_bits(idx))
+    records = []
+    for w in range(n):
+        base = (w, tuple(int(l[w]) for l in labels), phases[w])
+        records += [RoundRecord(*base, True, b) for b in bits[w]] or [RoundRecord(*base, False)]
+    return records
+
+
+BELL_SCHEDULES = tuple(
+    PartySchedule(phases=(math.pi / 4, -math.pi / 4),
+                  **({"override_phases": (0.0, math.pi / 2), "override_every": 5} if i == 1 else {}))
+    for i in range(4)
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("first_event_only", [True, False])
+@pytest.mark.parametrize("schedules", [SCHEDULES, BELL_SCHEDULES], ids=["qber", "bell"])
+@pytest.mark.parametrize("attack", [None, ("b", 0.4), ("bd", 1.0)], ids=["plain", "b", "bd"])
+def test_run_session_matches_per_window_reference(seed, first_event_only, schedules, attack):
+    if attack is not None:
+        attack = AttackConfig(attacked_modes=tuple(attack[0]), eve_bases=(0.0, math.pi / 2),
+                              attack_fraction=attack[1])
+    noise = NoiseModel(visibility=0.9, attack=attack)
+    config = SourceConfig(four_photon_rate=1.5, detector_efficiency=0.9,
+                          first_event_only=first_event_only)
+    records = run_session(600, schedules, None, noise, config, seed)
+    assert list(records) == _reference_session(600, schedules, noise, config, seed)
