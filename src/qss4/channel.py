@@ -7,10 +7,13 @@ length followed by a UTF-8 JSON object with exactly the fields
 {"type", "sender", "round", "payload"}. JSON is serialized with sorted
 keys and compact separators, so transcripts are byte-reproducible.
 
-Message payloads are schema checked: basis announcements can never carry
-outcome bits, and an audit pass over any transcript (including raw frames
-produced elsewhere) verifies that secret-bearing fields appear only in
-the reveal and parity-exchange message types.
+``encode_wire`` is the only codec. A payload is schema checked and
+test-encoded when its message is built, so a message that exists can be
+encoded. One schema rule is shared by the constructor (and therefore by
+``decode_wire``) and by the hygiene audit: basis announcements can never
+carry outcome bits, and an audit pass over any transcript (including raw
+frames produced elsewhere) verifies that secret-bearing fields appear only
+in the reveal and parity-exchange message types.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 PARTIES = ("Alice", "Bob", "Claire", "David")
 
@@ -68,22 +73,30 @@ class TranscriptAuditError(AssertionError):
     """A transcript violates the outcome-bit hygiene rules."""
 
 
-def _jsonify(value):
-    """Coerce payload values to plain JSON-native python objects."""
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (int,)):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    # numpy scalars and similar
-    if hasattr(value, "item"):
-        return _jsonify(value.item())
+def _numpy_scalar(value):
+    """``json.dumps`` hook: a numpy scalar encodes as its python value."""
+    if isinstance(value, np.generic):
+        return value.item()
     raise TypeError(f"payload value {value!r} is not wire-encodable")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_numpy_scalar)
+
+
+def _schema_violation(msg_type, payload) -> str | None:
+    """Why a ``msg_type`` message may not carry ``payload``, or None if it may."""
+    if msg_type not in PAYLOAD_SCHEMA:
+        return f"unknown type {msg_type!r}"
+    if not isinstance(payload, dict):
+        return f"{msg_type} payload is not an object"
+    secret = payload.keys() & SECRET_KEYS
+    if secret and msg_type not in SECRET_OK_TYPES:
+        return f"{msg_type} carries outcome material {sorted(secret)}"
+    extra = payload.keys() - PAYLOAD_SCHEMA[msg_type]
+    if extra:
+        return f"{msg_type} carries unexpected keys {sorted(extra)}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -100,8 +113,9 @@ class ProtocolMessage:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.msg_type not in PAYLOAD_SCHEMA:
-            raise WireError(f"unknown message type {self.msg_type!r}")
+        violation = _schema_violation(self.msg_type, self.payload)
+        if violation is not None:
+            raise WireError(violation)
         if self.sender not in PARTIES:
             raise WireError(f"unknown sender {self.sender!r}")
         rnd = self.round
@@ -110,33 +124,17 @@ class ProtocolMessage:
             if len(rnd) != 2:
                 raise WireError(f"round range must have two entries, got {self.round!r}")
         object.__setattr__(self, "round", rnd)
-        payload = _jsonify(dict(self.payload))
-        secret = set(payload) & SECRET_KEYS
-        if secret and self.msg_type not in SECRET_OK_TYPES:
-            raise WireError(
-                f"{self.msg_type} must not carry outcome material ({sorted(secret)})"
-            )
-        extra = set(payload) - PAYLOAD_SCHEMA[self.msg_type]
-        if extra:
-            raise WireError(f"{self.msg_type} payload has unexpected keys {sorted(extra)}")
+        # Copy list values so a caller's later edits cannot reach the message.
+        payload = {
+            k: list(v) if isinstance(v, (list, tuple)) else v for k, v in self.payload.items()
+        }
+        _dumps(payload)  # raises TypeError now for a payload encode_wire could not write
         object.__setattr__(self, "payload", payload)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProtocolMessage):
-            return NotImplemented
-        return (
-            self.msg_type == other.msg_type
-            and self.sender == other.sender
-            and self.round == other.round
-            and self.payload == other.payload
-        )
 
 
 def encode_wire(msg: ProtocolMessage) -> bytes:
-    body = json.dumps(
-        {"type": msg.msg_type, "sender": msg.sender, "round": msg.round, "payload": msg.payload},
-        sort_keys=True,
-        separators=(",", ":"),
+    body = _dumps(
+        {"type": msg.msg_type, "sender": msg.sender, "round": msg.round, "payload": msg.payload}
     ).encode("utf-8")
     return len(body).to_bytes(4, "big") + body
 
@@ -163,8 +161,6 @@ def decode_wire(frame: bytes, validate: bool = True) -> ProtocolMessage | dict:
         raise WireError("frame body must be an object with type/sender/round/payload")
     if not validate:
         return obj
-    if obj["type"] not in PAYLOAD_SCHEMA:
-        raise WireError(f"unknown message type {obj['type']!r}")
     return ProtocolMessage(
         msg_type=obj["type"], sender=obj["sender"], round=obj["round"], payload=obj["payload"]
     )
@@ -243,10 +239,6 @@ class Channel:
             inbox.clear()
             return out
 
-    def pending(self, party: str) -> int:
-        with self._lock:
-            return len(self._inboxes[party])
-
     def close(self) -> None:
         with self._lock:
             self._open = False
@@ -277,19 +269,8 @@ def audit_outcome_hygiene(transcript: Iterable[ProtocolMessage | dict | bytes]) 
             mtype, payload = entry.msg_type, entry.payload
         else:
             mtype, payload = entry.get("type"), entry.get("payload", {})
-        if mtype not in PAYLOAD_SCHEMA:
-            raise TranscriptAuditError(f"message {checked}: unknown type {mtype!r}")
-        if not isinstance(payload, dict):
-            raise TranscriptAuditError(f"message {checked}: payload is not an object")
-        secret = set(payload) & SECRET_KEYS
-        if secret and mtype not in SECRET_OK_TYPES:
-            raise TranscriptAuditError(
-                f"message {checked}: {mtype} carries outcome material {sorted(secret)}"
-            )
-        extra = set(payload) - PAYLOAD_SCHEMA[mtype]
-        if extra:
-            raise TranscriptAuditError(
-                f"message {checked}: {mtype} carries unexpected keys {sorted(extra)}"
-            )
+        violation = _schema_violation(mtype, payload)
+        if violation is not None:
+            raise TranscriptAuditError(f"message {checked}: {violation}")
         checked += 1
     return checked

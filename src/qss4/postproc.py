@@ -41,6 +41,7 @@ STAGES = ("sifted", "reconciled", "final")
 
 FORMULA_ID = "2h2-leak-eps"
 FORMULA_TEXT = "max(0, floor(n*(1 - 2*h2(qber))) - leaked_bits - epsilon_exponent)"
+_KEY_FILE_FIELDS = frozenset({"stage", "length", "leaked", "formula"})
 
 
 class ReconciliationError(RuntimeError):
@@ -546,12 +547,15 @@ def bits_to_hex(bits) -> str:
 
 
 def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
-    if length == 0:
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
-    bits = np.unpackbits(raw)
-    if len(bits) < length:
-        raise ValueError(f"hex carries {len(bits)} bits, need {length}")
+    """Inverse of ``bits_to_hex``: exactly ceil(length/8) bytes, zero padding bits."""
+    if length < 0:
+        raise ValueError(f"bit length must be >= 0, got {length}")
+    n_chars = 2 * ((length + 7) // 8)
+    if len(hex_string) != n_chars:
+        raise ValueError(f"{length} bits take {n_chars} hex characters, got {len(hex_string)}")
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8))
+    if bits[length:].any():
+        raise ValueError("padding bits after the last key bit are not zero")
     return bits[:length].copy()
 
 
@@ -568,7 +572,11 @@ def read_key_file(path) -> KeyMaterial:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         hex_line = fh.readline().strip()
-    fields = dict(part.split("=", 1) for part in header.split())
+    parts = header.split()
+    fields = dict(part.split("=", 1) for part in parts if "=" in part)
+    # each field exactly once, as name=value
+    if len(fields) != len(parts) or fields.keys() != _KEY_FILE_FIELDS:
+        raise ValueError(f"key file header needs the fields {sorted(_KEY_FILE_FIELDS)}: {header!r}")
     return KeyMaterial(
         stage=fields["stage"],
         bits=hex_to_bits(hex_line, int(fields["length"])),

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -62,13 +64,18 @@ def test_wire_truncated_and_mismatched():
         decode_wire(frame + b"xx")
 
 
+def _raw_frame(obj) -> bytes:
+    """A frame built outside the codec, so the strict constructor never sees it."""
+    body = json.dumps(obj).encode()
+    return len(body).to_bytes(4, "big") + body
+
+
 def test_wire_unknown_type_is_named():
-    body = json.dumps(
-        {"type": "Gossip", "sender": "Alice", "round": None, "payload": {}}
-    ).encode()
-    frame = len(body).to_bytes(4, "big") + body
+    frame = _raw_frame({"type": "Gossip", "sender": "Alice", "round": None, "payload": {}})
     with pytest.raises(WireError, match="Gossip"):
         decode_wire(frame)
+    with pytest.raises(WireError, match="unknown type 'Gossip'"):
+        ProtocolMessage("Gossip", "Alice", None, {})
 
 
 def test_message_schema_enforced():
@@ -87,6 +94,18 @@ def test_payload_jsonified():
     )
     assert msg.payload == {"indices": [4, 9]}
     assert decode_wire(encode_wire(msg)) == msg
+
+
+def test_payload_copied_and_test_encoded():
+    indices = [1, 2]
+    msg = ProtocolMessage(MSG_BASIS, "Bob", None, {"indices": indices, "labels": (0, 1)})
+    frame = encode_wire(msg)
+    indices.append(3)
+    assert msg.payload == {"indices": [1, 2], "labels": [0, 1]}
+    assert encode_wire(msg) == frame
+    for bad in (object(), np.array([1, 2])):
+        with pytest.raises(TypeError, match="not wire-encodable"):
+            ProtocolMessage(MSG_DETECTION, "Bob", None, {"indices": bad})
 
 
 _payload_strategies = {
@@ -170,6 +189,62 @@ def test_channel_per_sender_order_with_interleaving():
     assert claire_rounds == [0, 1, 2]
 
 
+def test_channel_concurrent_senders():
+    per_thread = 400
+    seqs: list[int] = []
+    seqs_lock = threading.Lock()
+    ch = Channel()
+    start = threading.Barrier(len(PARTIES))
+
+    def produce(sender: str) -> None:
+        to = PARTIES[(PARTIES.index(sender) + 1) % len(PARTIES)]
+        msgs = [
+            ProtocolMessage(MSG_DETECTION, sender, i, {"indices": [i]}) for i in range(per_thread)
+        ]
+        mine = []
+        start.wait(timeout=30)
+        for i, msg in enumerate(msgs):
+            if i % 2:
+                mine.append(ch.broadcast(msg)[0].seq)
+            else:
+                mine.append(ch.send(msg, to=to).seq)
+        with seqs_lock:
+            seqs.extend(mine)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=produce, args=(p,)) for p in PARTIES]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+
+    total = per_thread * len(PARTIES)
+    transcript = ch.transcript
+    assert len(transcript) == total
+    assert sorted(seqs) == list(range(total))
+    position = {id(m): k for k, m in enumerate(transcript)}
+    broadcast_rounds = list(range(1, per_thread, 2))
+    for party in PARTIES:
+        inbox = ch.drain(party)
+        # one lock orders sends and deliveries alike
+        delivered = [position[id(m)] for m in inbox]
+        assert delivered == sorted(delivered)
+        previous = PARTIES[PARTIES.index(party) - 1]
+        for sender in PARTIES:
+            rounds = [m.round for m in inbox if m.sender == sender]
+            if sender == party:
+                assert rounds == []
+            elif sender == previous:
+                assert rounds == list(range(per_thread))
+            else:
+                assert rounds == broadcast_rounds
+
+
 def test_channel_closed():
     ch = Channel()
     ch.close()
@@ -200,18 +275,13 @@ def test_audit_accepts_clean_transcript():
 
 
 def test_audit_rejects_outcome_bits_in_announcement():
-    # craft a raw frame that the strict constructor would refuse
-    body = json.dumps(
-        {
-            "type": MSG_BASIS,
-            "sender": "Bob",
-            "round": None,
-            "payload": {"indices": [0], "labels": [1], "bits": [1]},
-        }
-    ).encode()
-    frame = len(body).to_bytes(4, "big") + body
+    basis = {"type": MSG_BASIS, "sender": "Bob", "round": None}
+    frame = _raw_frame({**basis, "payload": {"indices": [0], "labels": [1], "bits": [1]}})
     with pytest.raises(TranscriptAuditError, match="outcome material"):
         audit_outcome_hygiene(frame)
+    frame = _raw_frame({**basis, "payload": {"indices": [0], "labels": [1], "note": "x"}})
+    with pytest.raises(TranscriptAuditError, match=f"message 1: {MSG_BASIS} carries unexpected keys"):
+        audit_outcome_hygiene(encode_wire(REPRESENTATIVE[0]) + frame)
 
 
 def test_audit_rejects_unknown_type():

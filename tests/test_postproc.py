@@ -249,6 +249,40 @@ def test_key_file_roundtrip(tmp_path):
     assert f"formula={FORMULA_ID}" in header
 
 
+def _write_raw_key_file(tmp_path, header: str, hex_line: str):
+    path = tmp_path / "key.hex"
+    path.write_text(f"{header}\n{hex_line}\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "stage=final length=8 formula=x",
+        "stage=final length=8 leaked=0 formula=x extra=1",
+        "stage=final length=8 leaked=0 leaked=0 formula=x",
+        "stage=final length=8 leaked=0 formula",
+    ],
+)
+def test_key_file_rejects_bad_header(tmp_path, header):
+    with pytest.raises(ValueError, match="header"):
+        read_key_file(_write_raw_key_file(tmp_path, header, "ff"))
+
+
+@pytest.mark.parametrize("length, hex_line", [(8, "ffff"), (9, "ff"), (4, "f"), (-1, "")])
+def test_key_file_rejects_wrong_hex_length(tmp_path, length, hex_line):
+    header = f"stage=final length={length} leaked=0 formula=x"
+    with pytest.raises(ValueError, match="hex characters|>= 0"):
+        read_key_file(_write_raw_key_file(tmp_path, header, hex_line))
+
+
+def test_key_file_rejects_nonzero_padding(tmp_path):
+    header = "stage=final length=5 leaked=0 formula=x"
+    assert read_key_file(_write_raw_key_file(tmp_path, header, "f8")).bits.tolist() == [1] * 5
+    with pytest.raises(ValueError, match="padding"):
+        read_key_file(_write_raw_key_file(tmp_path, header, "f9"))
+
+
 def test_run_key_pipeline_end_to_end():
     rng = np.random.default_rng(23)
     dealer = rng.integers(0, 2, 900, dtype=np.uint8)
