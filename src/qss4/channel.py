@@ -8,8 +8,9 @@ length followed by a UTF-8 JSON object with exactly the fields
 keys and compact separators, so transcripts are byte-reproducible.
 
 ``encode_wire`` is the only codec. A payload is schema checked and
-test-encoded when its message is built, so a message that exists can be
-encoded. One schema rule is shared by the constructor (and therefore by
+JSON-encoded once, when its message is built; ``encode_wire`` reuses that
+text, so a message that exists can be encoded and its frame is fixed from
+construction on. One schema rule is shared by the constructor (and therefore by
 ``decode_wire``) and by the hygiene audit: basis announcements can never
 carry outcome bits, and an audit pass over any transcript (including raw
 frames produced elsewhere) verifies that secret-bearing fields appear only
@@ -80,8 +81,9 @@ def _numpy_scalar(value):
     raise TypeError(f"payload value {value!r} is not wire-encodable")
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_numpy_scalar)
+# One encoder for every call: json.dumps with these options builds a new one
+# each time, which costs more than encoding a small value.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_numpy_scalar).encode
 
 
 def _schema_violation(msg_type, payload) -> str | None:
@@ -104,13 +106,16 @@ class ProtocolMessage:
     """One typed classical-channel message.
 
     ``round`` is a round index, a [lo, hi] index range, or None when the
-    message spans the whole session.
+    message spans the whole session. The payload is encoded when the
+    message is built, so its frame is fixed then: later edits to nested
+    payload values do not reach the wire.
     """
 
     msg_type: str
     sender: str
     round: int | list | None = None
     payload: dict = field(default_factory=dict)
+    _payload_json: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         violation = _schema_violation(self.msg_type, self.payload)
@@ -128,13 +133,16 @@ class ProtocolMessage:
         payload = {
             k: list(v) if isinstance(v, (list, tuple)) else v for k, v in self.payload.items()
         }
-        _dumps(payload)  # raises TypeError now for a payload encode_wire could not write
         object.__setattr__(self, "payload", payload)
+        # raises TypeError now for a payload encode_wire could not write
+        object.__setattr__(self, "_payload_json", _dumps(payload))
 
 
 def encode_wire(msg: ProtocolMessage) -> bytes:
-    body = _dumps(
-        {"type": msg.msg_type, "sender": msg.sender, "round": msg.round, "payload": msg.payload}
+    # the frame object in _dumps's sorted key order, around the cached payload
+    body = (
+        f'{{"payload":{msg._payload_json},"round":{_dumps(msg.round)},'
+        f'"sender":{_dumps(msg.sender)},"type":{_dumps(msg.msg_type)}}}'
     ).encode("utf-8")
     return len(body).to_bytes(4, "big") + body
 
@@ -249,9 +257,8 @@ class Channel:
             return tuple(self._transcript)
 
     def dump_transcript(self, path) -> None:
-        data = b"".join(encode_wire(m) for m in self.transcript)
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(encode_wire(m) for m in self.transcript)
 
 
 def audit_outcome_hygiene(transcript: Iterable[ProtocolMessage | dict | bytes]) -> int:

@@ -41,6 +41,7 @@ from .protocol import (
     Thresholds,
     format_key_transcript,
     format_session_report,
+    make_roles,
     run_protocol,
 )
 from .quantum import (
@@ -209,6 +210,21 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = replace(cfg, **overrides)
     if cfg.mode not in ("qber", "bell"):
         raise ConfigError(f"mode must be qber or bell, got {cfg.mode!r}")
+    for name in ("windows", "target_bits", "samples"):
+        value = getattr(cfg, name)
+        if value is not None and value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
+    # build each config object once to validate it: main maps only ConfigError
+    # to exit 2, so a ValueError raised later is reported as the fault it is
+    try:
+        mode = Mode(cfg.mode)
+        _source_from_config(cfg)
+        _attack_from_config(cfg, mode)
+        _thresholds_from_config(cfg)
+        NoiseModel(visibility=cfg.visibility)
+        make_roles(cfg.dealer)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -325,6 +341,8 @@ def fit_visibility(
 def cmd_correlation_scan(cfg: ExperimentConfig) -> int:
     if cfg.scan_step <= 0:
         raise ConfigError("scan_step must be positive")
+    if cfg.scan_stop < cfg.scan_start:
+        raise ConfigError("scan_stop must not lie below scan_start")
     out = _out_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     state = make_psi4_minus()
@@ -542,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rate", type=float)
     common.add_argument("--detector-efficiency", dest="detector_efficiency", type=float)
     common.add_argument("--samples", type=int)
-    common.add_argument("--dealer", choices=("Alice", "Bob", "Claire", "David"))
+    common.add_argument("--dealer", help="dealing party: Alice, Bob, Claire or David")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -593,9 +611,6 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def entry() -> None:

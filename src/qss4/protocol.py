@@ -135,6 +135,10 @@ class Thresholds:
     bell_margin_sigmas: float = 2.0
     sample_fraction: float = 0.10
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.sample_fraction < 1.0:
+            raise ValueError("sample_fraction must lie strictly between 0 and 1")
+
 
 @dataclass
 class SiftedKey:
@@ -466,13 +470,15 @@ class SessionResult:
         return self.counts.key_pool * 3600.0 / seconds
 
 
-def _announce(channel: Channel, party: str, dealer: str, detected: np.ndarray, labels: np.ndarray) -> None:
-    indices = np.nonzero(detected)[0].tolist()
+def _announce(
+    channel: Channel, party: str, dealer: str, indices: list[int], labels: np.ndarray
+) -> None:
+    """Send ``party``'s detected ``indices`` and the basis ``labels`` at them."""
     det_msg = ProtocolMessage(MSG_DETECTION, sender=party, payload={"indices": indices})
     basis_msg = ProtocolMessage(
         MSG_BASIS,
         sender=party,
-        payload={"indices": indices, "labels": labels[indices].tolist()},
+        payload={"indices": indices, "labels": labels.tolist()},
     )
     if party == dealer:
         channel.broadcast(det_msg)
@@ -629,9 +635,14 @@ def _protocol_over_records(
     n = len(records)
 
     channel = Channel()
-    for party in PARTIES:
-        row = PARTIES.index(party)
-        _announce(channel, party, dealer, detected_arr, records.labels[row])
+    # all four parties share the detected column, so they share one index list;
+    # the index array is dropped before the messages are built and encoded
+    detected_idx = np.nonzero(detected_arr)[0]
+    detected_labels = records.labels[:, detected_idx]
+    indices = detected_idx.tolist()
+    del detected_idx
+    for row, party in enumerate(PARTIES):
+        _announce(channel, party, dealer, indices, detected_labels[row])
 
     inbox = channel.drain(dealer)
     table_detected, table_labels = _dealer_table(
@@ -728,10 +739,14 @@ def format_key_transcript(key: SiftedKey, dealer: str = "Alice", width: int = 10
         hi = min(lo + width, n)
         lines.append(f"bits {lo}..{hi - 1}")
         for party in PARTIES:
-            row = "".join(str(int(b)) for b in key.bits[party][lo:hi])
-            lines.append(f"x_{party[0]} {row}")
-        lines.append("XOR " + "".join(str(int(b)) for b in xor_row[lo:hi]))
+            lines.append(f"x_{party[0]} {_bit_text(key.bits[party][lo:hi])}")
+        lines.append("XOR " + _bit_text(xor_row[lo:hi]))
     return "\n".join(lines) + "\n"
+
+
+def _bit_text(bits: np.ndarray) -> str:
+    """0/1 values as a string of '0'/'1' characters."""
+    return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def format_session_report(result: SessionResult) -> str:

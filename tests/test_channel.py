@@ -153,7 +153,12 @@ def messages(draw):
 @settings(max_examples=150, deadline=None)
 @given(messages())
 def test_wire_roundtrip_property(msg):
-    assert decode_wire(encode_wire(msg)) == msg
+    frame = encode_wire(msg)
+    assert decode_wire(frame) == msg
+    # the spliced frame equals one sorted, compact encode of the whole object
+    whole = {"type": msg.msg_type, "sender": msg.sender, "round": msg.round,
+             "payload": msg.payload}
+    assert frame[4:] == json.dumps(whole, sort_keys=True, separators=(",", ":")).encode()
 
 
 def test_channel_fifo_and_roundtrip():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qss4.cli
 from qss4.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -217,6 +218,21 @@ def test_config_errors_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode = sideways\n")
     assert main(["qss-run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    for flag, value in (("--visibility", "1.5"), ("--rate", "-1"), ("--dealer", "Zed")):
+        assert main(["qss-run", flag, value, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["correlation-scan", "--scan-start", "90deg", "--scan-stop", "0deg",
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(qss4.cli, "run_key_pipeline", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["qss-run", "--seed", "5", "--target-bits", "400", "--rate", "3.0",
+              "--out-dir", str(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_experiment_config_defaults():

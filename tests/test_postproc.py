@@ -172,6 +172,35 @@ def test_privacy_amplify_matches_dense_oracle():
         assert np.array_equal(privacy_amplify(key, seed), direct.astype(np.uint8))
 
 
+@pytest.mark.parametrize(
+    "n_in, n_out",
+    [
+        (12000, 5449),  # qber-dense session sizes
+        (9392, 2824),  # bell-attacked session sizes
+        (600, 425),  # n_in + n_out - 1 = 1024, a power of two
+        (600, 426),  # one past it
+        (600, 850),  # len(seed) + n_in - 1 = 2048, the padded length itself
+        (600, 851),  # one past it
+        (1, 1),
+    ],
+)
+def test_privacy_amplify_matches_direct_convolution(n_in, n_out):
+    rng = np.random.default_rng(n_in * 7919 + n_out)
+    seed = ToeplitzSeed.random(n_in, n_out, rng)
+    key = rng.integers(0, 2, n_in, dtype=np.uint8)
+    conv = np.convolve(seed.bits.astype(np.int64), key.astype(np.int64))
+    direct = (conv[n_in - 1 : n_in - 1 + n_out] & 1).astype(np.uint8)
+    assert np.array_equal(privacy_amplify(key, seed), direct)
+
+
+def test_privacy_amplify_residual_check_raises(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    seed = ToeplitzSeed.random(64, 16, np.random.default_rng(3))
+    with pytest.raises(RuntimeError, match="residual 0.3"):
+        privacy_amplify(np.ones(64, np.uint8), seed)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**40 - 1), st.integers(0, 2**40 - 1), st.integers(0, 2**31 - 1))
 def test_privacy_amplify_gf2_linear(k1_int, k2_int, seed_int):
