@@ -44,6 +44,6 @@ from .quantum import (
     outcome_distribution,
     qber_from_visibility,
 )
-from .source import RoundRecord, SessionData, SessionStreams, SourceConfig, run_session
+from .source import SessionData, SessionStreams, SourceConfig, run_session
 
 __version__ = "0.1.0"

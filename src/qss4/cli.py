@@ -35,6 +35,7 @@ from .postproc import (
 from .protocol import (
     KEYING_PHASES,
     BELL_PHASES,
+    BasisSchedule,
     InsufficientStatisticsError,
     Mode,
     ProtocolError,
@@ -210,7 +211,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = replace(cfg, **overrides)
     if cfg.mode not in ("qber", "bell"):
         raise ConfigError(f"mode must be qber or bell, got {cfg.mode!r}")
-    for name in ("windows", "target_bits", "samples"):
+    for name in ("windows", "target_bits", "samples", "epsilon_exponent"):
         value = getattr(cfg, name)
         if value is not None and value < 0:
             raise ConfigError(f"{name} must be >= 0, got {value}")
@@ -343,6 +344,8 @@ def cmd_correlation_scan(cfg: ExperimentConfig) -> int:
         raise ConfigError("scan_step must be positive")
     if cfg.scan_stop < cfg.scan_start:
         raise ConfigError("scan_stop must not lie below scan_start")
+    if cfg.samples < 1:
+        raise ConfigError("correlation-scan needs samples >= 1")
     out = _out_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     state = make_psi4_minus()
@@ -437,7 +440,7 @@ def cmd_qss_run(cfg: ExperimentConfig) -> int:
         seed=cfg.seed,
     )
     if cfg.dump_records:
-        write_records(result.records, cfg.dump_records)
+        write_records(result.records, cfg.dump_records, BasisSchedule(mode).party_schedules())
 
     report = format_session_report(result)
     if result.aborted:

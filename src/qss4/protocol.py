@@ -461,7 +461,7 @@ class SessionResult:
         return self.check_report.verdict == "abort"
 
     def sifted_bits_per_hour(self) -> float | None:
-        """Pre-check key pool rate over the session wall time (with dead time)."""
+        """Pre-check key pool rate over the session wall time."""
         if self.source_config is None:
             return None
         seconds = self.source_config.session_seconds(self.counts.windows)

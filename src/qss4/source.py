@@ -5,24 +5,27 @@ first four-photon event of a window is kept, and each of its four photons
 independently survives the detector with the configured efficiency. All
 randomness flows through named, seed-derived streams so a session is
 bit-reproducible and each party's basis sequence can be regenerated in
-isolation. A session is held as :class:`SessionData`, one numpy column
-per field, never as per-window objects.
+isolation. A session is held as :class:`SessionData`, three numpy
+columns (rounds, labels, outcomes), never as per-window objects. A
+record's analyzer phases are not stored: they follow from the schedules,
+the round index and the basis labels (:func:`_phase_codes`).
 
 Record files are line oriented, one round per line, comma separated:
 
     round_index,label_a,label_b,label_c,label_d,
     phi_a,phi_b,phi_c,phi_d,detected,bits
 
-with phases printed via repr (exact float round trip), labels and
-``detected`` either 0 or 1, and ``bits`` exactly four characters of 0/1
-on a detected round and ``-`` on an undetected one. :func:`read_records`
-rejects any other field.
+with phases derived from the schedules and printed via repr (exact float
+round trip), labels and ``detected`` either 0 or 1, and ``bits`` exactly
+four characters of 0/1 on a detected round and ``-`` on an undetected
+one. :func:`read_records` rejects any other field; it checks that every
+phase field parses as a float but does not keep the phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .quantum import (
     PureState,
     make_psi4_minus,
     outcome_distribution,
-    pattern_bits,
 )
 
 #: Typical silicon avalanche photodiode efficiency at the source
@@ -49,15 +51,12 @@ class SourceConfig:
     ``first_event_only`` keeps at most one event per window (the default
     acquisition rule); switching it off counts every surviving event in a
     window as an additional round record with the same window index.
-    ``dead_time_seconds`` lengthens the effective per-round wall time in
-    throughput accounting only; it never affects statistics.
     """
 
     four_photon_rate: float = 0.4
     window_seconds: float = 1.0
     first_event_only: bool = True
     detector_efficiency: float = 1.0
-    dead_time_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.four_photon_rate < 0:
@@ -66,8 +65,6 @@ class SourceConfig:
             raise ValueError("window_seconds must be > 0")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must lie in [0, 1]")
-        if self.dead_time_seconds < 0:
-            raise ValueError("dead_time_seconds must be >= 0")
 
     @classmethod
     def lab_preset(cls, **overrides) -> "SourceConfig":
@@ -81,34 +78,8 @@ class SourceConfig:
         return self.four_photon_rate * self.window_seconds
 
     def session_seconds(self, n_windows: int) -> float:
-        """Wall time of a session, including per-round analyzer dead time."""
-        return n_windows * (self.window_seconds + self.dead_time_seconds)
-
-
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One acquisition window (or one extra same-window event).
-
-    ``labels`` are the per-party basis choices (0 or 1 into that party's
-    two-phase set for the round), ``phases`` the resolved analyzer phases.
-    ``outcome_bits`` (four 0/1 values) is present exactly when ``detected``
-    is set. Sessions are stored as :class:`SessionData`; a record is a view
-    of one of its entries.
-    """
-
-    round_index: int
-    labels: tuple[int, int, int, int]
-    phases: tuple[float, float, float, float]
-    detected: bool
-    outcome_bits: tuple[int, int, int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.detected != (self.outcome_bits is not None):
-            raise ValueError("outcome_bits must be present iff detected")
-        if self.outcome_bits is not None and (
-            len(self.outcome_bits) != 4 or any(b not in (0, 1) for b in self.outcome_bits)
-        ):
-            raise ValueError(f"outcome_bits must be four 0/1 values, got {self.outcome_bits!r}")
+        """Wall time of a session."""
+        return n_windows * self.window_seconds
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +87,13 @@ class SessionData:
     """Columnar session log: entry ``i`` of every column is record ``i``.
 
     ``rounds`` (int64) holds window indices, ``labels`` (uint8, 4 x n) the
-    per-party basis labels, ``phases`` (float64, 4 x n) the resolved
-    analyzer phases and ``outcomes`` (int8) the detected pattern index,
-    -1 for an undetected round. Indexing and iteration yield
-    :class:`RoundRecord` views built on demand; equality compares columns.
+    per-party basis labels and ``outcomes`` (int8) the detected pattern
+    index, -1 for an undetected round: 13 B per record. Equality compares
+    columns.
     """
 
     rounds: np.ndarray
     labels: np.ndarray
-    phases: np.ndarray
     outcomes: np.ndarray
 
     @classmethod
@@ -142,19 +111,6 @@ class SessionData:
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-    def __getitem__(self, i) -> RoundRecord:
-        outcome = int(self.outcomes[i])
-        return RoundRecord(
-            round_index=int(self.rounds[i]),
-            labels=tuple(self.labels[:, i].tolist()),
-            phases=tuple(self.phases[:, i].tolist()),
-            detected=outcome >= 0,
-            outcome_bits=pattern_bits(outcome) if outcome >= 0 else None,
-        )
-
-    def __iter__(self) -> Iterator[RoundRecord]:
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SessionData):
@@ -179,13 +135,25 @@ class PartySchedule:
         if (self.override_every > 0) != (self.override_phases is not None):
             raise ValueError("override_phases and override_every must be set together")
 
-    def is_override_round(self, round_index: int) -> bool:
-        return self.override_every > 0 and round_index % self.override_every == 0
 
-    def round_phases(self, round_index: int) -> tuple[float, float]:
-        if self.is_override_round(round_index):
-            return self.override_phases  # type: ignore[return-value]
-        return self.phases
+def _phase_codes(schedules: Sequence[PartySchedule], rounds: np.ndarray,
+                 labels: np.ndarray) -> np.ndarray:
+    """Each record's phase code: two bits per party, (override round, label)."""
+    codes = np.zeros(len(rounds), dtype=np.int64)
+    for i, sched in enumerate(schedules):
+        codes |= labels[i].astype(np.int64) << (2 * i)
+        if sched.override_every > 0:
+            codes |= ((rounds % sched.override_every) == 0).astype(np.int64) << (2 * i + 1)
+    return codes
+
+
+def _phase_tuple(schedules: Sequence[PartySchedule], code: int) -> tuple[float, ...]:
+    """The four analyzer phases that one phase code names."""
+    return tuple(
+        float((sched.override_phases if code >> (2 * i + 1) & 1 else sched.phases)
+              [code >> (2 * i) & 1])
+        for i, sched in enumerate(schedules)
+    )
 
 
 @dataclass
@@ -275,7 +243,7 @@ def _sample_outcomes(
     cache: _DistributionCache,
     attack,
     adversary: np.random.Generator,
-    phases: np.ndarray,
+    schedules: Sequence[PartySchedule],
     phase_codes: np.ndarray,
     windows: np.ndarray,
     uniforms: np.ndarray,
@@ -298,7 +266,7 @@ def _sample_outcomes(
     outcomes = np.empty(len(windows), dtype=np.int8)
     for group in np.unique(groups):
         members = np.nonzero(groups == group)[0]
-        cdf = cache.cdf(states[group >> 8], tuple(phases[:, windows[members[0]]]))
+        cdf = cache.cdf(states[group >> 8], _phase_tuple(schedules, int(group) & 0xFF))
         outcomes[members] = np.searchsorted(cdf, uniforms[members], side="right")
     return outcomes
 
@@ -332,18 +300,7 @@ def run_session(
     labels = np.stack(
         [streams.parties[i].integers(0, 2, n_windows) for i in range(4)]
     ).astype(np.uint8)
-    phases = np.empty((4, n_windows), dtype=np.float64)
-    # two bits per party, (override round, label), name each window's phase tuple
-    phase_codes = np.zeros(n_windows, dtype=np.int64)
-    for i, sched in enumerate(schedules):
-        base = np.asarray(sched.phases, dtype=np.float64)
-        phases[i] = base[labels[i]]
-        phase_codes |= labels[i].astype(np.int64) << (2 * i)
-        if sched.override_every > 0:
-            mask = (round_indices % sched.override_every) == 0
-            over = np.asarray(sched.override_phases, dtype=np.float64)
-            phases[i, mask] = over[labels[i, mask]]
-            phase_codes |= mask.astype(np.int64) << (2 * i + 1)
+    phase_codes = _phase_codes(schedules, round_indices, labels)
 
     counts = streams.source.poisson(config.mean_events_per_window, n_windows)
 
@@ -364,10 +321,10 @@ def run_session(
         uniforms = streams.source.random(n_windows)
         outcomes = np.full(n_windows, -1, dtype=np.int8)
         outcomes[hits] = _sample_outcomes(
-            cache, attack, streams.adversary, phases, phase_codes,
+            cache, attack, streams.adversary, schedules, phase_codes,
             hits, uniforms[hits], attacked[hits],
         )
-        return SessionData(round_indices, labels, phases, outcomes)
+        return SessionData(round_indices, labels, outcomes)
 
     # count-all mode: every surviving event in a window becomes a record; a
     # window without one keeps a single undetected placeholder record
@@ -378,14 +335,14 @@ def run_session(
     uniforms = streams.source.random(total_events)
     hits = np.repeat(np.arange(n_windows), counts)[survive]
     sampled = _sample_outcomes(
-        cache, attack, streams.adversary, phases, phase_codes,
+        cache, attack, streams.adversary, schedules, phase_codes,
         hits, uniforms[survive], attacked[hits],
     )
     per_window = np.bincount(hits, minlength=n_windows)
     rows = np.repeat(np.arange(n_windows), np.maximum(per_window, 1))
     outcomes = np.full(len(rows), -1, dtype=np.int8)
     outcomes[per_window[rows] > 0] = sampled
-    return SessionData(round_indices[rows], labels[:, rows], phases[:, rows], outcomes)
+    return SessionData(round_indices[rows], labels[:, rows], outcomes)
 
 
 RECORD_HEADER = (
@@ -396,23 +353,36 @@ RECORD_HEADER = (
 #: Bits field of each pattern index, party a first; ``-`` when undetected.
 _BITS_TEXT = [format(i, "04b") for i in range(16)]
 _OUTCOME_OF_BITS = {text: i for i, text in enumerate(_BITS_TEXT)}
+#: The four label fields of a line, as a 4-bit code, and the labels of each code.
+_LABEL_CODE = {tuple(text): i for i, text in enumerate(_BITS_TEXT)}
+_LABELS_OF_CODE = ((np.arange(16) >> _BIT_SHIFTS) & 1).astype(np.uint8)
 
 
-def write_records(records: SessionData, path) -> None:
-    columns = (
-        [records.rounds.tolist()]
-        + records.labels.tolist()
-        + [[repr(p) for p in row] for row in records.phases.tolist()]
-        + [[f"1,{_BITS_TEXT[o]}" if o >= 0 else "0,-" for o in records.outcomes.tolist()]]
-    )
+def write_records(records: SessionData, path, schedules: Sequence[PartySchedule]) -> None:
+    """Write a record file, deriving each record's phases from ``schedules``."""
+    codes = _phase_codes(schedules, records.rounds, records.labels)
+    # a phase code fixes the labels and phases of a record: one text per code used
+    code_text = [""] * 256
+    for code in np.flatnonzero(np.bincount(codes, minlength=256)).tolist():
+        code_text[code] = ",".join([str(code >> (2 * i) & 1) for i in range(4)]
+                                   + [repr(p) for p in _phase_tuple(schedules, code)])
+    outcome_text = [f"1,{bits}" for bits in _BITS_TEXT] + ["0,-"]  # -1 picks the last
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(RECORD_HEADER + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
+        fh.writelines(
+            f"{r},{code_text[c]},{outcome_text[o]}\n"
+            for r, c, o in zip(records.rounds.tolist(), codes.tolist(), records.outcomes.tolist())
+        )
 
 
 def read_records(path) -> SessionData:
-    """Parse a record file, rejecting any field the writer cannot produce."""
-    rounds, labels, phases, outcomes = [], [], [], []
+    """Parse a record file, rejecting any field the writer cannot produce.
+
+    Every distinct phase text is checked once to parse as a float; the
+    phases are not kept, since they follow from the schedules.
+    """
+    rounds, labels, outcomes = [], [], []
+    phase_texts: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != RECORD_HEADER:
@@ -431,15 +401,16 @@ def read_records(path) -> SessionData:
                 outcomes.append(-1)
             else:
                 raise ValueError(f"bad detected/bits fields {detected!r},{bits!r}: {line!r}")
-            if any(v not in ("0", "1") for v in parts[1:5]):
+            label_code = _LABEL_CODE.get(tuple(parts[1:5]))
+            if label_code is None:
                 raise ValueError(f"basis labels must be 0 or 1: {line!r}")
             rounds.append(int(parts[0]))
-            labels.extend(parts[1:5])
-            phases.extend(parts[5:9])
-    n = len(rounds)
+            labels.append(label_code)
+            phase_texts.update(parts[5:9])
+    for text in phase_texts:
+        float(text)  # a phase field must parse as a float
     return SessionData(
         np.array(rounds, dtype=np.int64),
-        np.fromiter(map(int, labels), np.uint8, 4 * n).reshape(n, 4).T.copy(),
-        np.fromiter(map(float, phases), np.float64, 4 * n).reshape(n, 4).T.copy(),
+        np.take(_LABELS_OF_CODE, np.array(labels, dtype=np.int64), axis=1),
         np.array(outcomes, dtype=np.int8),
     )

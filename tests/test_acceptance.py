@@ -245,11 +245,9 @@ def test_criterion_08_eavesdropping_detection():
         records = run_session(
             55_000, schedules, state, noise, config, SessionStreams.from_seed(808 + seed_offset)
         )
-        for rec in records:
-            if rec.detected:
-                rounds += 1
-                errors += (rec.outcome_bits[0] ^ rec.outcome_bits[1]
-                           ^ rec.outcome_bits[2] ^ rec.outcome_bits[3])
+        bits = records.bits_at(np.nonzero(records.detected)[0])
+        rounds += bits.shape[1]
+        errors += int((bits[0] ^ bits[1] ^ bits[2] ^ bits[3]).sum())
         expected += 0.5 * expected_qber_under_attack(attack, (phi,), visibility=1.0)
     empirical = errors / rounds
     sigma = math.sqrt(expected * (1 - expected) / rounds)

@@ -218,10 +218,12 @@ def test_config_errors_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode = sideways\n")
     assert main(["qss-run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
-    for flag, value in (("--visibility", "1.5"), ("--rate", "-1"), ("--dealer", "Zed")):
+    for flag, value in (("--visibility", "1.5"), ("--rate", "-1"), ("--dealer", "Zed"),
+                        ("--epsilon", "-3")):
         assert main(["qss-run", flag, value, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert main(["correlation-scan", "--scan-start", "90deg", "--scan-stop", "0deg",
                  "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["correlation-scan", "--samples", "0", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):

@@ -307,8 +307,8 @@ def test_bell_session_routes_pools():
     )
     # override rounds make up one fifth of all windows
     assert result.counts.bell_pool > 0
-    for rec_idx in [m for m in result.channel.transcript if m.msg_type == MSG_SIFT][0].payload["bell_indices"]:
-        assert result.records[rec_idx].round_index % 5 == 0
+    decision = next(m for m in result.channel.transcript if m.msg_type == MSG_SIFT)
+    assert (result.records.rounds[decision.payload["bell_indices"]] % 5 == 0).all()
     assert not result.aborted
     key = result.sifted_key
     assert np.array_equal(key.bits["Alice"], key.access_xor("Alice"))
@@ -381,7 +381,7 @@ def test_replay_from_record_file(tmp_path):
         source_config=FAST_SOURCE,
     )
     path = tmp_path / "session.records"
-    write_records(live.records, path)
+    write_records(live.records, path, BasisSchedule(Mode.QBER).party_schedules())
     replayed = replay_protocol(read_records(path), mode=Mode.QBER, seed=77,
                                target_sifted_bits=400)
     assert replayed.check_report == live.check_report

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qss4.quantum import NoiseModel, PureState, make_psi4_minus, outcome_distrib
 from qss4.source import (
     RECORD_HEADER,
     PartySchedule,
-    RoundRecord,
     SessionData,
     SessionStreams,
     SourceConfig,
@@ -43,26 +43,7 @@ def test_config_validation():
     assert SourceConfig.lab_preset().detector_efficiency == 0.4
 
 
-def test_round_record_consistency():
-    with pytest.raises(ValueError):
-        RoundRecord(0, (0, 0, 0, 0), (0.0,) * 4, detected=True, outcome_bits=None)
-    with pytest.raises(ValueError):
-        RoundRecord(0, (0, 0, 0, 0), (0.0,) * 4, detected=False, outcome_bits=(0, 0, 1, 1))
-
-
-@pytest.mark.parametrize("bits", [(0, 1, 1), (0, 1, 1, 0, 1), (0, 1, 2, 3), (0, 0, -1, 1)])
-def test_round_record_rejects_bad_outcome_bits(bits):
-    with pytest.raises(ValueError, match="four 0/1 values"):
-        RoundRecord(0, (0, 0, 0, 0), (0.0,) * 4, detected=True, outcome_bits=bits)
-
-
 def test_schedule_override():
-    sched = PartySchedule(
-        phases=(1.0, 2.0), override_phases=(3.0, 4.0), override_every=5
-    )
-    assert sched.round_phases(0) == (3.0, 4.0)
-    assert sched.round_phases(1) == (1.0, 2.0)
-    assert sched.round_phases(10) == (3.0, 4.0)
     with pytest.raises(ValueError):
         PartySchedule(phases=(1.0, 2.0), override_every=5)
 
@@ -71,7 +52,7 @@ def test_sample_window_zero_rate():
     records = _session(2000, config=SourceConfig(four_photon_rate=0.0))
     assert len(records) == 2000
     assert not records.detected.any()
-    assert all(r.outcome_bits is None for r in records)
+    assert (records.outcomes == -1).all()
 
 
 def test_sample_window_point_mass():
@@ -83,7 +64,8 @@ def test_sample_window_point_mass():
         schedules=schedules, state=PureState(amplitudes),
     )
     assert records.detected.all()
-    assert all(r.outcome_bits == (0, 0, 1, 1) for r in records)
+    bits = records.bits_at(np.arange(len(records)))
+    assert (bits.T == (0, 0, 1, 1)).all()
 
 
 def test_sample_window_detection_rate():
@@ -105,13 +87,13 @@ def test_session_deterministic():
 def test_party_stream_reproducible_in_isolation():
     records = _session(200, seed=9)
     solo = SessionStreams.party_stream(9, 2).integers(0, 2, 200)
-    assert [r.labels[2] for r in records] == solo.tolist()
+    assert records.labels[2].tolist() == solo.tolist()
 
 
 def test_detection_statistics_with_efficiency():
     config = SourceConfig(four_photon_rate=0.7, detector_efficiency=0.8)
     records = _session(60_000, seed=5, config=config)
-    detected = sum(r.detected for r in records)
+    detected = records.detected.sum()
     p = (1 - math.exp(-0.7)) * 0.8**4
     sigma = math.sqrt(p * (1 - p) * len(records))
     assert abs(detected - p * len(records)) < 3 * sigma
@@ -120,12 +102,10 @@ def test_detection_statistics_with_efficiency():
 def test_outcome_marginal_chisquare():
     config = SourceConfig(four_photon_rate=4.0)
     schedules = tuple(PartySchedule(phases=(0.0, 0.0)) for _ in range(4))
-    records = [r for r in _session(40_000, seed=6, config=config, schedules=schedules) if r.detected]
+    records = _session(40_000, seed=6, config=config, schedules=schedules)
+    bits = records.bits_at(np.nonzero(records.detected)[0]).astype(np.int64)
     dist = outcome_distribution(make_psi4_minus(), (0.0,) * 4)
-    counts = np.zeros(16)
-    for r in records:
-        idx = (r.outcome_bits[0] << 3) | (r.outcome_bits[1] << 2) | (r.outcome_bits[2] << 1) | r.outcome_bits[3]
-        counts[idx] += 1
+    counts = np.bincount((bits[0] << 3) | (bits[1] << 2) | (bits[2] << 1) | bits[3], minlength=16)
     support = dist.probs > 1e-12
     assert counts[~support].sum() == 0
     expected = dist.probs[support] * counts.sum()
@@ -137,24 +117,19 @@ def test_count_all_mode_yields_extra_records():
     config = SourceConfig(four_photon_rate=2.0, first_event_only=False)
     records = _session(5000, seed=7, config=config)
     assert len(records) > 5000
-    indices = [r.round_index for r in records]
-    assert indices == sorted(indices)
-    detected = sum(r.detected for r in records)
+    assert (np.diff(records.rounds) >= 0).all()
+    detected = records.detected.sum()
     expect = 2.0 * 5000
     assert abs(detected - expect) < 3 * math.sqrt(expect)
     # undetected windows still produce exactly one placeholder record
-    seen = {}
-    for r in records:
-        seen.setdefault(r.round_index, []).append(r.detected)
-    for flags in seen.values():
-        if len(flags) > 1:
-            assert all(flags)
+    shared = np.bincount(records.rounds)[records.rounds] > 1
+    assert records.detected[shared].all()
 
 
 def test_record_file_roundtrip(tmp_path):
     records = _session(300, seed=8, config=SourceConfig(four_photon_rate=1.0))
     path = tmp_path / "session.records"
-    write_records(records, path)
+    write_records(records, path, SCHEDULES)
     assert read_records(path) == records
 
 
@@ -167,14 +142,15 @@ def test_record_file_rejects_bad_header(tmp_path):
 
 def test_session_data_views():
     records = _session(400, seed=10, config=SourceConfig(four_photon_rate=1.0))
-    views = list(records)
-    assert len(views) == len(records) == 400
-    assert records[7] == views[7] and records[-1] == views[-1]
+    assert len(records) == 400
+    assert sum(getattr(records, f.name).nbytes for f in fields(SessionData)) == 13 * 400
     positions = np.nonzero(records.detected)[0]
     bits = records.bits_at(positions)
     assert bits.shape == (4, len(positions)) and bits.dtype == np.uint8
-    assert [tuple(col) for col in bits.T.tolist()] == [views[i].outcome_bits for i in positions]
-    columns = (records.rounds, records.labels, records.phases, records.outcomes)
+    assert [tuple(col) for col in bits.T.tolist()] == [
+        pattern_bits(int(records.outcomes[i])) for i in positions
+    ]
+    columns = (records.rounds, records.labels, records.outcomes)
     head = SessionData(*(col[..., :150] for col in columns))
     tail = SessionData(*(col[..., 150:] for col in columns))
     assert SessionData.concat([head, tail]) == records
@@ -195,6 +171,7 @@ def _write_lines(path, *lines):
         ("0,0,1,0,1,0.0,0.0,0.0,0.0,2,0101", "detected/bits"),
         ("0,0,1,0,2,0.0,0.0,0.0,0.0,1,0101", "labels"),
         ("0,0,1,0,1,0.0,0.0,0.0,0.0,1", "bad record line"),
+        ("0,0,1,0,1,0.0,x,0.0,0.0,1,0101", "float"),
     ],
 )
 def test_record_file_rejects_bad_fields(tmp_path, line, problem):
@@ -211,7 +188,8 @@ def _reference_session(n, schedules, noise, config, seed):
     streams = SessionStreams.from_seed(seed)
     labels = [streams.parties[i].integers(0, 2, n) for i in range(4)]
     phases = [
-        tuple(sched.round_phases(w)[labels[i][w]] for i, sched in enumerate(schedules))
+        tuple((sched.override_phases if sched.override_every and w % sched.override_every == 0
+               else sched.phases)[labels[i][w]] for i, sched in enumerate(schedules))
         for w in range(n)
     ]
     counts = streams.source.poisson(config.mean_events_per_window, n)
@@ -225,17 +203,19 @@ def _reference_session(n, schedules, noise, config, seed):
     survive = np.all(streams.source.random((events, 4)) < config.detector_efficiency, axis=1)
     uniforms = streams.source.random(events)
     windows = range(n) if config.first_event_only else np.repeat(np.arange(n), counts)
-    bits = [[] for _ in range(n)]
+    hits = [[] for _ in range(n)]
     for event, w in enumerate(windows):
         if survive[event] and counts[w] > 0:
             key = _eve_state_key(cache, attack, streams.adversary) if attacked[w] else ()
             idx = int(np.searchsorted(cache.cdf(key, phases[w]), uniforms[event], side="right"))
-            bits[w].append(pattern_bits(idx))
-    records = []
-    for w in range(n):
-        base = (w, tuple(int(l[w]) for l in labels), phases[w])
-        records += [RoundRecord(*base, True, b) for b in bits[w]] or [RoundRecord(*base, False)]
-    return records
+            hits[w].append(idx)
+    rows = [(w, idx) for w in range(n) for idx in hits[w] or [-1]]
+    row_windows = [w for w, _ in rows]
+    return SessionData(
+        np.array(row_windows, dtype=np.int64),
+        np.array([[l[w] for w in row_windows] for l in labels], dtype=np.uint8).reshape(4, -1),
+        np.array([idx for _, idx in rows], dtype=np.int8),
+    )
 
 
 BELL_SCHEDULES = tuple(
@@ -257,4 +237,6 @@ def test_run_session_matches_per_window_reference(seed, first_event_only, schedu
     config = SourceConfig(four_photon_rate=1.5, detector_efficiency=0.9,
                           first_event_only=first_event_only)
     records = run_session(600, schedules, None, noise, config, seed)
-    assert list(records) == _reference_session(600, schedules, noise, config, seed)
+    reference = _reference_session(600, schedules, noise, config, seed)
+    for f in fields(SessionData):
+        assert np.array_equal(getattr(records, f.name), getattr(reference, f.name)), f.name
