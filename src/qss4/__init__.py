@@ -11,8 +11,6 @@ from .postproc import (
     privacy_amplify,
     reconcile,
     run_key_pipeline,
-    vernam_decrypt,
-    vernam_encrypt,
 )
 from .protocol import (
     BasisSchedule,

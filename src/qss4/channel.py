@@ -30,7 +30,6 @@ import numpy as np
 PARTIES = ("Alice", "Bob", "Claire", "David")
 
 MSG_BASIS = "BasisAnnouncement"
-MSG_DETECTION = "DetectionAnnouncement"
 MSG_SIFT = "SiftDecision"
 MSG_SAMPLE_REQUEST = "SampleRequest"
 MSG_SAMPLE_REVEAL = "SampleReveal"
@@ -43,7 +42,6 @@ MSG_ABORT = "Abort"
 #: Allowed payload keys per message type.
 PAYLOAD_SCHEMA: dict[str, frozenset[str]] = {
     MSG_BASIS: frozenset({"indices", "labels"}),
-    MSG_DETECTION: frozenset({"indices"}),
     MSG_SIFT: frozenset({"key_indices", "bell_indices"}),
     MSG_SAMPLE_REQUEST: frozenset({"positions"}),
     MSG_SAMPLE_REVEAL: frozenset({"positions", "bits"}),

@@ -125,37 +125,21 @@ class ExperimentConfig:
     dump_records: str = ""
 
 
+#: Config keys read as angles with a unit suffix (see :func:`parse_angle`).
+_ANGLE_KEYS = frozenset(
+    {"phi_a", "phi_b", "phi_c", "phi_d", "scan_fixed", "scan_start", "scan_stop", "scan_step"}
+)
+#: Parser of each annotation of an ExperimentConfig field.
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": parse_bool,
+    "int | None": _parse_optional_int,
+}
 _KEY_PARSERS = {
-    "seed": int,
-    "mode": str,
-    "visibility": float,
-    "rate": float,
-    "window_seconds": float,
-    "first_event_only": parse_bool,
-    "detector_efficiency": float,
-    "windows": _parse_optional_int,
-    "target_bits": _parse_optional_int,
-    "sample_fraction": float,
-    "qber_threshold": float,
-    "bell_margin": float,
-    "attack_modes": str,
-    "attack_fraction": float,
-    "eve_bases": str,
-    "epsilon_exponent": int,
-    "dealer": str,
-    "out_dir": str,
-    "samples": int,
-    "phi_a": parse_angle,
-    "phi_b": parse_angle,
-    "phi_c": parse_angle,
-    "phi_d": parse_angle,
-    "scan_fixed": parse_angle,
-    "scan_start": parse_angle,
-    "scan_stop": parse_angle,
-    "scan_step": parse_angle,
-    "message": str,
-    "analytic": parse_bool,
-    "dump_records": str,
+    f.name: parse_angle if f.name in _ANGLE_KEYS else _TYPE_PARSERS[f.type]
+    for f in fields(ExperimentConfig)
 }
 
 

@@ -139,7 +139,6 @@ class ReconcileResult:
     passes_used: int
     verify_rounds: int
     corrected: int
-    converged: bool
 
 
 class _Cascade:
@@ -424,7 +423,6 @@ def reconcile(
         passes_used=len(cas.perms),
         verify_rounds=verify_rounds,
         corrected=cas.corrected,
-        converged=True,
     )
 
 
@@ -466,7 +464,7 @@ class ToeplitzSeed:
         return self.bits[self.n_in - 1 + rows - cols].astype(np.uint8)
 
 
-def privacy_amplify(key, seed: ToeplitzSeed, n_out: int | None = None) -> np.ndarray:
+def privacy_amplify(key, seed: ToeplitzSeed) -> np.ndarray:
     """Compress a key with the Toeplitz hash: T @ key over GF(2).
 
     Computed as a slice of the integer convolution of seed and key, which
@@ -480,12 +478,9 @@ def privacy_amplify(key, seed: ToeplitzSeed, n_out: int | None = None) -> np.nda
     (key, seed).
     """
     bits = _as_bits(key, "key")
-    if n_out is None:
-        n_out = seed.n_out
-    if len(bits) != seed.n_in or n_out != seed.n_out:
-        raise ValueError(
-            f"seed is {seed.n_out}x{seed.n_in}, got key of {len(bits)} and n_out={n_out}"
-        )
+    n_out = seed.n_out
+    if len(bits) != seed.n_in:
+        raise ValueError(f"seed is {n_out}x{seed.n_in}, got key of {len(bits)}")
     if n_out == 0:
         return np.zeros(0, dtype=np.uint8)
     size = 1 << (len(seed.bits) + seed.n_in - 2).bit_length()
@@ -538,14 +533,6 @@ class VernamPad:
     def decrypt(self, cipher_bits) -> np.ndarray:
         c = _as_bits(cipher_bits, "ciphertext")
         return c ^ self._consume(len(c))
-
-
-def vernam_encrypt(message_bits, pad: VernamPad) -> np.ndarray:
-    return pad.encrypt(message_bits)
-
-
-def vernam_decrypt(cipher_bits, pad: VernamPad) -> np.ndarray:
-    return pad.decrypt(cipher_bits)
 
 
 # ---------------------------------------------------------------------------

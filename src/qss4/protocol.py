@@ -11,8 +11,10 @@ their own bits. Two operating modes exist:
   rounds feed a four-party Bell estimate instead of the key.
 
 All inter-party data flows through the classical channel as typed
-messages, so a session transcript can be audited and replayed. With equal
-seeds the full transcript is byte-identical run to run.
+messages, so a session transcript can be audited and replayed. Each party
+sends one ``BasisAnnouncement``, its basis labels at exactly the rounds it
+detected, so that announcement is also its detection announcement. With
+equal seeds the full transcript is byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .channel import (
     MSG_ABORT,
     MSG_BASIS,
     MSG_BELL_REVEAL,
-    MSG_DETECTION,
     MSG_SAMPLE_REQUEST,
     MSG_SAMPLE_REVEAL,
     MSG_SIFT,
@@ -71,10 +72,6 @@ _BOB_INDEX = 1
 
 class ProtocolError(RuntimeError):
     pass
-
-
-class MissingAnnouncementError(ProtocolError):
-    """A detected round lacks a basis announcement."""
 
 
 class InsufficientStatisticsError(ProtocolError):
@@ -249,25 +246,20 @@ def semi_access_predictor(
 
 def sift(
     mode: Mode,
-    detected: np.ndarray,
     labels: np.ndarray,
     round_indices: np.ndarray,
 ) -> tuple[list[int], list[int]]:
-    """Retain rounds where everyone detected and all announced bases agree.
+    """Retain rounds that every party announced and where all bases agree.
 
-    ``detected`` and ``labels`` are (4, n) arrays built from the four
-    announcements; ``labels`` uses -1 for missing entries. In Bell mode,
-    detected rounds falling on Bob's override cycle are routed to the
-    Bell pool instead of the key pool. Returns (key positions, Bell
-    positions) as strictly increasing record positions.
+    ``labels`` is the (4, n) table of the four basis announcements, -1
+    where a party announced nothing. A party announces a basis exactly
+    for the rounds it detected, so a round with all four labels >= 0 is
+    one that everyone detected. In Bell mode, such rounds falling on
+    Bob's override cycle are routed to the Bell pool instead of the key
+    pool. Returns (key positions, Bell positions) as strictly increasing
+    record positions.
     """
-    all_detected = detected.all(axis=0)
-    idx = np.nonzero(all_detected)[0]
-    if idx.size and np.any(labels[:, idx] < 0):
-        missing = idx[np.any(labels[:, idx] < 0, axis=0)]
-        raise MissingAnnouncementError(
-            f"detected rounds without basis announcement: {missing[:8].tolist()}"
-        )
+    idx = np.flatnonzero((labels >= 0).all(axis=0))
     if mode is Mode.BELL:
         override = (round_indices[idx] % BELL_OVERRIDE_EVERY) == 0
         bell = idx[override]
@@ -473,36 +465,35 @@ class SessionResult:
 def _announce(
     channel: Channel, party: str, dealer: str, indices: list[int], labels: np.ndarray
 ) -> None:
-    """Send ``party``'s detected ``indices`` and the basis ``labels`` at them."""
-    det_msg = ProtocolMessage(MSG_DETECTION, sender=party, payload={"indices": indices})
-    basis_msg = ProtocolMessage(
+    """Send ``party``'s basis ``labels`` at its detected ``indices``."""
+    msg = ProtocolMessage(
         MSG_BASIS,
         sender=party,
         payload={"indices": indices, "labels": labels.tolist()},
     )
     if party == dealer:
-        channel.broadcast(det_msg)
-        channel.broadcast(basis_msg)
+        channel.broadcast(msg)
     else:
-        channel.send(det_msg, to=dealer)
-        channel.send(basis_msg, to=dealer)
+        channel.send(msg, to=dealer)
 
 
-def _dealer_table(
-    n: int, dealer: str, own_detected: np.ndarray, own_labels: np.ndarray, messages
-) -> tuple[np.ndarray, np.ndarray]:
-    detected = np.zeros((4, n), dtype=bool)
-    labels = np.full((4, n), -1, dtype=np.int64)
-    row = PARTIES.index(dealer)
-    detected[row] = own_detected
-    labels[row, own_detected] = own_labels[own_detected]
+def _label_table(labels: np.ndarray, detected_idx: np.ndarray, rows) -> np.ndarray:
+    """The (4, n) int8 sift input with ``rows`` announced at ``detected_idx``.
+
+    Each of ``rows`` holds its party's label at the detected records; every
+    other entry is -1, as for a round nobody announced.
+    """
+    table = np.full(labels.shape, -1, dtype=np.int8)
+    for row in rows:
+        table[row, detected_idx] = labels[row, detected_idx]
+    return table
+
+
+def _dealer_table(table: np.ndarray, messages) -> np.ndarray:
+    """Enter each received basis announcement into the dealer's ``table``."""
     for msg in messages:
-        r = PARTIES.index(msg.sender)
-        if msg.msg_type == MSG_DETECTION:
-            detected[r, msg.payload["indices"]] = True
-        elif msg.msg_type == MSG_BASIS:
-            labels[r, msg.payload["indices"]] = msg.payload["labels"]
-    return detected, labels
+        table[PARTIES.index(msg.sender), msg.payload["indices"]] = msg.payload["labels"]
+    return table
 
 
 def _expected_key_rate(mode: Mode, config: SourceConfig) -> float:
@@ -564,7 +555,9 @@ def run_protocol(
             chunks.append(chunk)
             windows += need
             # sifting is per record, so the key pool grows by each chunk's share
-            key_idx, _ = sift(mode, np.tile(chunk.detected, (4, 1)), chunk.labels, chunk.rounds)
+            # every party detected the same records, so every row is announced
+            table = _label_table(chunk.labels, np.flatnonzero(chunk.detected), range(4))
+            key_idx, _ = sift(mode, table, chunk.rounds)
             key_bits += len(key_idx)
             if key_bits >= target_sifted_bits:
                 break
@@ -638,17 +631,15 @@ def _protocol_over_records(
     # all four parties share the detected column, so they share one index list;
     # the index array is dropped before the messages are built and encoded
     detected_idx = np.nonzero(detected_arr)[0]
+    table_labels = _label_table(records.labels, detected_idx, [PARTIES.index(dealer)])
     detected_labels = records.labels[:, detected_idx]
     indices = detected_idx.tolist()
     del detected_idx
     for row, party in enumerate(PARTIES):
         _announce(channel, party, dealer, indices, detected_labels[row])
 
-    inbox = channel.drain(dealer)
-    table_detected, table_labels = _dealer_table(
-        n, dealer, detected_arr, records.labels[PARTIES.index(dealer)], inbox
-    )
-    key_idx, bell_idx = sift(mode, table_detected, table_labels, records.rounds)
+    table_labels = _dealer_table(table_labels, channel.drain(dealer))
+    key_idx, bell_idx = sift(mode, table_labels, records.rounds)
     if target_sifted_bits is not None:
         key_idx = key_idx[:target_sifted_bits]
     channel.broadcast(

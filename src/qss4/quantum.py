@@ -73,11 +73,6 @@ def pattern_bits(index: int) -> tuple[int, int, int, int]:
     return ((index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1)
 
 
-def pattern_parity(index: int) -> int:
-    """XOR of the four outcome bits of a pattern."""
-    return int(_PARITY[index])
-
-
 def mode_axis(mode: str | int) -> int:
     """Resolve a mode given as 'a'..'d' or 0..3 to its tensor axis."""
     if isinstance(mode, str):
@@ -144,9 +139,6 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-
-    def parity_of(self, index: int) -> int:
-        return pattern_parity(index)
 
     def cdf(self) -> np.ndarray:
         c = np.cumsum(self.probs)

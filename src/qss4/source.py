@@ -297,9 +297,9 @@ def run_session(
         state = make_psi4_minus()
 
     round_indices = np.arange(first_round_index, first_round_index + n_windows, dtype=np.int64)
-    labels = np.stack(
-        [streams.parties[i].integers(0, 2, n_windows) for i in range(4)]
-    ).astype(np.uint8)
+    labels = np.empty((4, n_windows), dtype=np.uint8)
+    for i in range(4):
+        labels[i] = streams.parties[i].integers(0, 2, n_windows)
     phase_codes = _phase_codes(schedules, round_indices, labels)
 
     counts = streams.source.poisson(config.mean_events_per_window, n_windows)

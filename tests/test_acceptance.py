@@ -18,8 +18,6 @@ from qss4.postproc import (
     final_key_length,
     privacy_amplify,
     reconcile,
-    vernam_decrypt,
-    vernam_encrypt,
 )
 from qss4.protocol import (
     KEYING_PHASES,
@@ -308,10 +306,10 @@ def test_criterion_09_postprocessing():
     pad_tx, pad_rx = VernamPad([0, 1, 1, 0, 1]), VernamPad([0, 1, 1, 0, 1])
     message = np.array([1, 0, 1, 0, 1], dtype=np.uint8)
     vernam_ok = np.array_equal(
-        vernam_decrypt(vernam_encrypt(message, pad_tx), pad_rx), message
+        pad_rx.decrypt(pad_tx.encrypt(message)), message
     )
     try:
-        vernam_encrypt(np.array([1], dtype=np.uint8), pad_tx)
+        pad_tx.encrypt(np.array([1], dtype=np.uint8))
         reuse_ok = False
     except KeyReuseError:
         reuse_ok = True

@@ -12,7 +12,6 @@ from qss4.channel import (
     MSG_BASIS,
     MSG_BELL_REVEAL,
     MSG_CIPHERTEXT,
-    MSG_DETECTION,
     MSG_HASH_SEED,
     MSG_PARITY,
     MSG_SAMPLE_REQUEST,
@@ -31,7 +30,7 @@ from qss4.channel import (
 )
 
 REPRESENTATIVE = [
-    ProtocolMessage(MSG_DETECTION, "Bob", None, {"indices": [0, 3, 7]}),
+    ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [0, 3, 7]}),
     ProtocolMessage(MSG_BASIS, "Bob", None, {"indices": [0, 3], "labels": [1, 0]}),
     ProtocolMessage(MSG_SIFT, "Alice", None, {"key_indices": [3], "bell_indices": []}),
     ProtocolMessage(MSG_SAMPLE_REQUEST, "Alice", None, {"positions": [1, 2]}),
@@ -70,29 +69,39 @@ def _raw_frame(obj) -> bytes:
     return len(body).to_bytes(4, "big") + body
 
 
+#: A party's basis announcement is its detection announcement, so the separate
+#: detection message of older transcripts is an unknown type.
+RETIRED_TYPE = "DetectionAnnouncement"
+RETIRED_FRAME = _raw_frame(
+    {"type": RETIRED_TYPE, "sender": "Bob", "round": None, "payload": {"indices": [0, 3]}}
+)
+
+
 def test_wire_unknown_type_is_named():
     frame = _raw_frame({"type": "Gossip", "sender": "Alice", "round": None, "payload": {}})
     with pytest.raises(WireError, match="Gossip"):
         decode_wire(frame)
     with pytest.raises(WireError, match="unknown type 'Gossip'"):
         ProtocolMessage("Gossip", "Alice", None, {})
+    with pytest.raises(WireError, match=f"unknown type '{RETIRED_TYPE}'"):
+        decode_wire(RETIRED_FRAME)
 
 
 def test_message_schema_enforced():
     with pytest.raises(WireError, match="unexpected keys"):
-        ProtocolMessage(MSG_DETECTION, "Bob", None, {"bogus": 1})
+        ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"bogus": 1})
     # announcements can never carry outcome bits
     with pytest.raises(WireError, match="outcome material"):
         ProtocolMessage(MSG_BASIS, "Bob", None, {"indices": [0], "labels": [1], "bits": [1]})
     with pytest.raises(WireError, match="unknown sender"):
-        ProtocolMessage(MSG_DETECTION, "Eve", None, {"indices": []})
+        ProtocolMessage(MSG_SAMPLE_REQUEST, "Eve", None, {"positions": []})
 
 
 def test_payload_jsonified():
     msg = ProtocolMessage(
-        MSG_DETECTION, "Bob", None, {"indices": [np.int64(4), np.int64(9)]}
+        MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [np.int64(4), np.int64(9)]}
     )
-    assert msg.payload == {"indices": [4, 9]}
+    assert msg.payload == {"positions": [4, 9]}
     assert decode_wire(encode_wire(msg)) == msg
 
 
@@ -105,12 +114,15 @@ def test_payload_copied_and_test_encoded():
     assert encode_wire(msg) == frame
     for bad in (object(), np.array([1, 2])):
         with pytest.raises(TypeError, match="not wire-encodable"):
-            ProtocolMessage(MSG_DETECTION, "Bob", None, {"indices": bad})
+            ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": bad})
 
 
 _payload_strategies = {
-    MSG_DETECTION: st.fixed_dictionaries(
-        {"indices": st.lists(st.integers(0, 10_000), max_size=20)}
+    MSG_BASIS: st.fixed_dictionaries(
+        {
+            "indices": st.lists(st.integers(0, 10_000), max_size=20),
+            "labels": st.lists(st.integers(0, 1), max_size=20),
+        }
     ),
     MSG_SAMPLE_REVEAL: st.fixed_dictionaries(
         {
@@ -163,8 +175,8 @@ def test_wire_roundtrip_property(msg):
 
 def test_channel_fifo_and_roundtrip():
     ch = Channel()
-    first = ProtocolMessage(MSG_DETECTION, "Bob", None, {"indices": [1]})
-    second = ProtocolMessage(MSG_DETECTION, "Bob", None, {"indices": [2]})
+    first = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [1]})
+    second = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [2]})
     ch.send(first, to="Alice")
     ch.send(second, to="Alice")
     assert ch.recv("Alice") == first
@@ -185,8 +197,8 @@ def test_channel_broadcast():
 def test_channel_per_sender_order_with_interleaving():
     ch = Channel()
     for i in range(3):
-        ch.broadcast(ProtocolMessage(MSG_DETECTION, "Bob", i, {"indices": [i]}))
-        ch.broadcast(ProtocolMessage(MSG_DETECTION, "Claire", i, {"indices": [i]}))
+        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", i, {"positions": [i]}))
+        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Claire", i, {"positions": [i]}))
     inbox = ch.drain("David")
     bob_rounds = [m.round for m in inbox if m.sender == "Bob"]
     claire_rounds = [m.round for m in inbox if m.sender == "Claire"]
@@ -204,7 +216,8 @@ def test_channel_concurrent_senders():
     def produce(sender: str) -> None:
         to = PARTIES[(PARTIES.index(sender) + 1) % len(PARTIES)]
         msgs = [
-            ProtocolMessage(MSG_DETECTION, sender, i, {"indices": [i]}) for i in range(per_thread)
+            ProtocolMessage(MSG_SAMPLE_REQUEST, sender, i, {"positions": [i]})
+            for i in range(per_thread)
         ]
         mine = []
         start.wait(timeout=30)
@@ -292,3 +305,5 @@ def test_audit_rejects_outcome_bits_in_announcement():
 def test_audit_rejects_unknown_type():
     with pytest.raises(TranscriptAuditError, match="unknown type"):
         audit_outcome_hygiene([{"type": "Gossip", "payload": {}}])
+    with pytest.raises(TranscriptAuditError, match=f"message 1: unknown type '{RETIRED_TYPE}'"):
+        audit_outcome_hygiene(encode_wire(REPRESENTATIVE[1]) + RETIRED_FRAME)

@@ -53,11 +53,15 @@ def test_config_file_parsing(tmp_path):
         "visibility = 0.9\n"
         "phi_b = 90deg\n"
         "first_event_only = false\n"
+        "dealer = Claire\n"
+        "target_bits = none\n"
     )
     values = load_config_file(path)
     assert values["seed"] == 9
     assert values["phi_b"] == pytest.approx(math.pi / 2)
     assert values["first_event_only"] is False
+    assert values["dealer"] == "Claire"
+    assert values["target_bits"] is None
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")

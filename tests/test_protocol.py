@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qss4.adversary import AttackConfig
-from qss4.channel import MSG_ABORT, MSG_SIFT, PARTIES, Channel, audit_outcome_hygiene
+from qss4.channel import MSG_ABORT, MSG_BASIS, MSG_SIFT, PARTIES, Channel, audit_outcome_hygiene
 from qss4.protocol import (
     BELL_PHASES,
     KEYING_PHASES,
@@ -13,7 +13,6 @@ from qss4.protocol import (
     CheckReport,
     EmptySampleError,
     InsufficientStatisticsError,
-    MissingAnnouncementError,
     Mode,
     SiftedKey,
     bell_check,
@@ -62,39 +61,31 @@ def test_basis_schedules():
         BasisSchedule(Mode.QBER).bell_setting()
 
 
-def _table(detected_rows, label_rows):
-    return np.array(detected_rows, dtype=bool), np.array(label_rows, dtype=np.int64)
-
-
 def test_sift_keeps_agreeing_rounds():
-    detected, labels = _table(
-        [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0]],
-        [[0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 1, 0]],
+    labels = np.array(
+        [[0, 0, 1, -1, 0], [0, 1, 1, -1, -1], [0, 0, 1, -1, 0], [0, 0, 1, -1, 0]],
+        dtype=np.int8,
     )
-    key, bell = sift(Mode.QBER, detected, labels, np.arange(1, 5))
-    assert key == [0, 2]  # round 1 disagrees on Bob, round 3 undetected
+    key, bell = sift(Mode.QBER, labels, np.arange(1, 6))
+    # round 1 disagrees on Bob, round 3 is unannounced, Bob did not announce round 4
+    assert key == [0, 2]
     assert bell == []
-
-
-def test_sift_missing_announcement():
-    detected, labels = _table(
-        [[1], [1], [1], [1]],
-        [[0], [-1], [0], [0]],
-    )
-    with pytest.raises(MissingAnnouncementError):
-        sift(Mode.QBER, detected, labels, np.arange(1))
 
 
 def test_sift_routes_override_rounds_to_bell_pool():
     n = 10
-    detected = np.ones((4, n), dtype=bool)
-    labels = np.zeros((4, n), dtype=np.int64)
+    labels = np.zeros((4, n), dtype=np.int8)
     labels[1, 3] = 1  # disagreement in a key round
     rounds = np.arange(n)
-    key, bell = sift(Mode.BELL, detected, labels, rounds)
+    key, bell = sift(Mode.BELL, labels, rounds)
     assert bell == [0, 5]  # Bob's override cycle
     assert 3 not in key
     assert set(key) == {1, 2, 4, 6, 7, 8, 9}
+    labels[3, 5] = -1  # David did not announce an override round
+    labels[2, 7] = -1  # nor Claire a key round
+    key, bell = sift(Mode.BELL, labels, rounds)
+    assert bell == [0]
+    assert set(key) == {1, 2, 4, 6, 8, 9}
 
 
 def test_reconstruct_dealer_bit():
@@ -312,6 +303,24 @@ def test_bell_session_routes_pools():
     assert not result.aborted
     key = result.sifted_key
     assert np.array_equal(key.bits["Alice"], key.access_xor("Alice"))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(mode=Mode.QBER, visibility=0.95, target_sifted_bits=300, seed=13, dealer="Claire"),
+    dict(mode=Mode.BELL, visibility=1.0, n_windows=2000, seed=107),
+])
+def test_one_basis_announcement_per_party(kwargs):
+    result = run_protocol(source_config=FAST_SOURCE, **kwargs)
+    transcript = result.channel.transcript
+    announced = transcript[: next(i for i, m in enumerate(transcript) if m.msg_type == MSG_SIFT)]
+    assert [(m.msg_type, m.sender) for m in announced] == [(MSG_BASIS, p) for p in PARTIES]
+    # a basis announcement doubles as the detection announcement
+    detected = np.flatnonzero(result.records.detected)
+    for row, msg in enumerate(announced):
+        assert msg.payload == {
+            "indices": detected.tolist(),
+            "labels": result.records.labels[row, detected].tolist(),
+        }
 
 
 def test_session_transcripts_reproducible(tmp_path):
