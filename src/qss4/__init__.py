@@ -19,8 +19,8 @@ from .protocol import (
     SiftedKey,
     Thresholds,
     bell_check,
+    check_dealer,
     estimate_qber,
-    make_roles,
     reconstruct_dealer_bit,
     replay_protocol,
     run_protocol,

@@ -40,9 +40,9 @@ from .protocol import (
     Mode,
     ProtocolError,
     Thresholds,
+    check_dealer,
     format_key_transcript,
     format_session_report,
-    make_roles,
     run_protocol,
 )
 from .quantum import (
@@ -55,7 +55,7 @@ from .quantum import (
     make_psi4_minus,
     outcome_distribution,
 )
-from .source import SourceConfig, write_records
+from .source import SessionStreams, SourceConfig, write_records
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -207,7 +207,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         _attack_from_config(cfg, mode)
         _thresholds_from_config(cfg)
         NoiseModel(visibility=cfg.visibility)
-        make_roles(cfg.dealer)
+        check_dealer(cfg.dealer)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -448,8 +448,7 @@ def cmd_qss_run(cfg: ExperimentConfig) -> int:
         key.access_xor(result.dealer),
         qber_estimate=qber_estimate,
         channel=result.channel,
-        # the 8th independent child stream; the session itself spawns 7
-        rng=np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(8)[7]),
+        rng=SessionStreams.from_seed(cfg.seed).postproc,
         dealer=result.dealer,
         speaker=[p for p in PARTIES if p != result.dealer][0],
         epsilon_exponent=cfg.epsilon_exponent,

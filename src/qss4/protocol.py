@@ -40,7 +40,6 @@ from .channel import (
 )
 from .quantum import (
     ALL_COMBOS,
-    BellSetting,
     NoiseModel,
     bell_S_from_table,
     bell_S_gradient,
@@ -82,17 +81,10 @@ class EmptySampleError(ProtocolError):
     """The requested check sample is empty (or swallows the whole key)."""
 
 
-@dataclass(frozen=True)
-class PartyRole:
-    name: str
-    is_dealer: bool = False
-
-
-def make_roles(dealer: str = "Alice") -> tuple[PartyRole, ...]:
-    """Role assignment with exactly one dealer; any party may deal."""
+def check_dealer(dealer: str) -> None:
+    """Raise ValueError unless ``dealer`` is one of the four parties; any may deal."""
     if dealer not in PARTIES:
         raise ValueError(f"unknown dealer {dealer!r}")
-    return tuple(PartyRole(name=p, is_dealer=(p == dealer)) for p in PARTIES)
 
 
 @dataclass(frozen=True)
@@ -118,11 +110,6 @@ class BasisSchedule:
                 schedules.append(PartySchedule(phases=BELL_PHASES))
         return tuple(schedules)
 
-    def bell_setting(self) -> BellSetting:
-        if self.mode is not Mode.BELL:
-            raise ValueError("bell_setting only applies to Bell mode")
-        return BellSetting.maximal_violation()
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -135,19 +122,26 @@ class Thresholds:
     def __post_init__(self) -> None:
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
+        # the secure key length is defined only for a QBER below one half
+        if not 0.0 <= self.qber_abort_above < 0.5:
+            raise ValueError("qber_abort_above must lie in [0, 0.5)")
+        # a negative margin would admit an S at or below the classical bound
+        if not self.bell_margin_sigmas >= 0.0:
+            raise ValueError("bell_margin_sigmas must be >= 0")
 
 
 @dataclass
 class SiftedKey:
     """Aligned per-party bit strings over the retained rounds."""
 
-    indices: list[int]
+    indices: np.ndarray
     bits: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        if self.indices.ndim != 1 or (np.diff(self.indices) <= 0).any():
+            raise ValueError("retained indices must be 1-D and strictly increasing")
         n = len(self.indices)
-        if any(self.indices[i] >= self.indices[i + 1] for i in range(n - 1)):
-            raise ValueError("retained indices must be strictly increasing")
         for party, arr in self.bits.items():
             if len(arr) != n:
                 raise ValueError(f"bit string of {party} has length {len(arr)}, expected {n}")
@@ -165,11 +159,11 @@ class SiftedKey:
         """XOR of the three non-dealer strings (the access set's reconstruction)."""
         return self.xor_of([p for p in PARTIES if p != dealer])
 
-    def without_positions(self, positions: Sequence[int]) -> "SiftedKey":
-        drop = set(int(p) for p in positions)
-        keep = [i for i in range(len(self.indices)) if i not in drop]
+    def without_positions(self, positions: np.ndarray) -> "SiftedKey":
+        keep = np.ones(len(self.indices), dtype=bool)
+        keep[positions] = False
         return SiftedKey(
-            indices=[self.indices[i] for i in keep],
+            indices=self.indices[keep],
             bits={p: arr[keep] for p, arr in self.bits.items()},
         )
 
@@ -248,7 +242,7 @@ def sift(
     mode: Mode,
     labels: np.ndarray,
     round_indices: np.ndarray,
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Retain rounds that every party announced and where all bases agree.
 
     ``labels`` is the (4, n) table of the four basis announcements, -1
@@ -257,7 +251,7 @@ def sift(
     one that everyone detected. In Bell mode, such rounds falling on
     Bob's override cycle are routed to the Bell pool instead of the key
     pool. Returns (key positions, Bell positions) as strictly increasing
-    record positions.
+    int64 arrays of record positions.
     """
     idx = np.flatnonzero((labels >= 0).all(axis=0))
     if mode is Mode.BELL:
@@ -272,7 +266,36 @@ def sift(
         key = key_candidates[agree]
     else:
         key = key_candidates
-    return key.tolist(), bell.tolist()
+    return key, bell
+
+
+def _reveal(
+    channel: Channel,
+    msg_type: str,
+    positions: np.ndarray,
+    bits: Mapping[str, np.ndarray],
+    dealer: str,
+) -> np.ndarray:
+    """Have every non-dealer reveal its ``bits`` at ``positions`` to the dealer.
+
+    ``bits`` maps each party to its bits at ``positions``. Returns the round
+    parities: the dealer's bits XOR the three revealed rows.
+    """
+    parity = bits[dealer].astype(np.uint8)
+    for party in PARTIES:
+        if party == dealer:
+            continue
+        revealed = bits[party].astype(np.uint8, copy=False)
+        channel.send(
+            ProtocolMessage(
+                msg_type,
+                sender=party,
+                payload={"positions": positions.tolist(), "bits": revealed.tolist()},
+            ),
+            to=dealer,
+        )
+        parity ^= revealed
+    return parity
 
 
 def estimate_qber(
@@ -300,25 +323,14 @@ def estimate_qber(
         raise EmptySampleError(f"sample of {sample_fraction!r} over {n} bits is empty")
     if k >= n:
         raise EmptySampleError("sample would consume the entire key")
-    positions = sorted(int(p) for p in rng.choice(n, size=k, replace=False))
+    positions = np.sort(rng.choice(n, size=k, replace=False))
     channel.broadcast(
-        ProtocolMessage(MSG_SAMPLE_REQUEST, sender=dealer, payload={"positions": positions})
-    )
-    others = [p for p in PARTIES if p != dealer]
-    revealed: dict[str, np.ndarray] = {}
-    for party in others:
-        bits = sifted.bits[party][positions].astype(int).tolist()
-        channel.send(
-            ProtocolMessage(
-                MSG_SAMPLE_REVEAL, sender=party, payload={"positions": positions, "bits": bits}
-            ),
-            to=dealer,
+        ProtocolMessage(
+            MSG_SAMPLE_REQUEST, sender=dealer, payload={"positions": positions.tolist()}
         )
-        revealed[party] = np.asarray(bits, dtype=np.uint8)
-    access = np.zeros(k, dtype=np.uint8)
-    for party in others:
-        access ^= revealed[party]
-    errors = int(np.count_nonzero(sifted.bits[dealer][positions].astype(np.uint8) ^ access))
+    )
+    sample = {p: arr[positions] for p, arr in sifted.bits.items()}
+    errors = int(np.count_nonzero(_reveal(channel, MSG_SAMPLE_REVEAL, positions, sample, dealer)))
     estimate = errors / k
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / k)
     verdict = "proceed" if estimate <= abort_above else "abort"
@@ -370,7 +382,7 @@ def bell_estimate_with_stderr(table: dict, variances: dict) -> tuple[float, floa
 
 
 def bell_check(
-    pool_positions: Sequence[int],
+    pool_positions: np.ndarray,
     labels: np.ndarray,
     bits: Mapping[str, np.ndarray],
     channel: Channel,
@@ -388,26 +400,11 @@ def bell_check(
     inner sums, so it carries a positive small-sample bias that shrinks
     as the pool grows.
     """
-    n = len(pool_positions)
+    positions = np.asarray(pool_positions, dtype=np.int64)
+    n = len(positions)
     if n == 0:
         raise InsufficientStatisticsError("Bell pool is empty")
-    others = [p for p in PARTIES if p != dealer]
-    pool_list = [int(p) for p in pool_positions]
-    revealed: dict[str, np.ndarray] = {}
-    for party in others:
-        vals = bits[party].astype(int).tolist()
-        channel.send(
-            ProtocolMessage(
-                MSG_BELL_REVEAL,
-                sender=party,
-                payload={"positions": pool_list, "bits": vals},
-            ),
-            to=dealer,
-        )
-        revealed[party] = np.asarray(vals, dtype=np.uint8)
-    parity = bits[dealer].astype(np.uint8).copy()
-    for party in others:
-        parity ^= revealed[party]
+    parity = _reveal(channel, MSG_BELL_REVEAL, positions, bits, dealer)
     table, counts, variances = estimate_bell_table(labels, parity)
     s_value, stderr = bell_estimate_with_stderr(table, variances)
     threshold = classical_bound + margin_sigmas * stderr
@@ -439,13 +436,11 @@ class SessionResult:
     dealer: str
     visibility: float
     seed: int
-    thresholds: Thresholds
     records: SessionData
     channel: Channel
     counts: SessionCounts
     check_report: CheckReport
     sifted_key: SiftedKey | None
-    bell_setting: BellSetting | None
     source_config: SourceConfig | None = None
 
     @property
@@ -530,9 +525,8 @@ def run_protocol(
     """
     if (n_windows is None) == (target_sifted_bits is None):
         raise ValueError("give exactly one of n_windows / target_sifted_bits")
-    make_roles(dealer)
-    schedule = BasisSchedule(mode)
-    schedules = schedule.party_schedules()
+    check_dealer(dealer)
+    schedules = BasisSchedule(mode).party_schedules()
     config = source_config or SourceConfig()
     noise = NoiseModel(visibility=visibility, attack=attack)
     streams = SessionStreams.from_seed(seed)
@@ -621,15 +615,16 @@ def _protocol_over_records(
     target_sifted_bits: int | None,
     source_config: SourceConfig | None,
 ) -> SessionResult:
-    make_roles(dealer)
+    check_dealer(dealer)
     thresholds = thresholds or Thresholds()
-    schedule = BasisSchedule(mode)
     detected_arr = records.detected
     n = len(records)
 
     channel = Channel()
-    # all four parties share the detected column, so they share one index list;
-    # the index array is dropped before the messages are built and encoded
+    # all four parties share the detected column, so they share one index list:
+    # one list per payload would give each announcement its own int objects
+    # (+88 MB max RSS at 1e5 target bits); the index array is dropped before
+    # the messages are built and encoded
     detected_idx = np.nonzero(detected_arr)[0]
     table_labels = _label_table(records.labels, detected_idx, [PARTIES.index(dealer)])
     detected_labels = records.labels[:, detected_idx]
@@ -646,7 +641,7 @@ def _protocol_over_records(
         ProtocolMessage(
             MSG_SIFT,
             sender=dealer,
-            payload={"key_indices": key_idx, "bell_indices": bell_idx},
+            payload={"key_indices": key_idx.tolist(), "bell_indices": bell_idx.tolist()},
         )
     )
 
@@ -708,13 +703,11 @@ def _protocol_over_records(
         dealer=dealer,
         visibility=visibility,
         seed=seed,
-        thresholds=thresholds,
         records=records,
         channel=channel,
         counts=counts,
         check_report=report,
         sifted_key=final_key,
-        bell_setting=schedule.bell_setting() if mode is Mode.BELL else None,
         source_config=source_config,
     )
 

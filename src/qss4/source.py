@@ -158,24 +158,24 @@ def _phase_tuple(schedules: Sequence[PartySchedule], code: int) -> tuple[float, 
 
 @dataclass
 class SessionStreams:
-    """Independent seeded streams for the four parties, source, adversary, protocol."""
+    """Independent seeded streams: four parties, source, adversary, protocol, postproc."""
 
     parties: tuple[np.random.Generator, np.random.Generator, np.random.Generator, np.random.Generator]
     source: np.random.Generator
     adversary: np.random.Generator
     protocol: np.random.Generator
+    postproc: np.random.Generator
 
     @classmethod
     def from_seed(cls, seed: int) -> "SessionStreams":
-        children = np.random.SeedSequence(seed).spawn(7)
-        gens = [np.random.default_rng(child) for child in children]
-        return cls(parties=tuple(gens[:4]), source=gens[4], adversary=gens[5], protocol=gens[6])
+        # child i does not depend on the spawn count: a stream added last moves no other
+        gens = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(8)]
+        return cls(tuple(gens[:4]), *gens[4:])
 
     @staticmethod
     def party_stream(seed: int, party_index: int) -> np.random.Generator:
         """Regenerate a single party's stream without touching the others."""
-        children = np.random.SeedSequence(seed).spawn(7)
-        return np.random.default_rng(children[party_index])
+        return SessionStreams.from_seed(seed).parties[party_index]
 
 
 class _DistributionCache:

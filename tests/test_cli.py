@@ -223,7 +223,8 @@ def test_config_errors_exit_code(tmp_path):
     cfg.write_text("mode = sideways\n")
     assert main(["qss-run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     for flag, value in (("--visibility", "1.5"), ("--rate", "-1"), ("--dealer", "Zed"),
-                        ("--epsilon", "-3")):
+                        ("--epsilon", "-3"), ("--qber-threshold", "0.9"),
+                        ("--qber-threshold", "-0.1"), ("--bell-margin", "-1")):
         assert main(["qss-run", flag, value, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert main(["correlation-scan", "--scan-start", "90deg", "--scan-stop", "0deg",
                  "--out-dir", str(tmp_path)]) == EXIT_CONFIG
