@@ -13,7 +13,6 @@ from .postproc import (
     run_key_pipeline,
 )
 from .protocol import (
-    BasisSchedule,
     CheckReport,
     Mode,
     SiftedKey,
@@ -21,6 +20,7 @@ from .protocol import (
     bell_check,
     check_dealer,
     estimate_qber,
+    party_schedules,
     reconstruct_dealer_bit,
     replay_protocol,
     run_protocol,
@@ -28,7 +28,6 @@ from .protocol import (
     sift,
 )
 from .quantum import (
-    AnalyzerSetting,
     BellSetting,
     NoiseModel,
     OutcomeDistribution,

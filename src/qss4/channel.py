@@ -4,7 +4,7 @@ In-process implementation with per-recipient FIFO inboxes, a transcript of
 every message in send order, and a documented wire format for
 process-separated deployments: each frame is a 4-byte big-endian payload
 length followed by a UTF-8 JSON object with exactly the fields
-{"type", "sender", "round", "payload"}. JSON is serialized with sorted
+{"type", "sender", "payload"}. JSON is serialized with sorted
 keys and compact separators, so transcripts are byte-reproducible.
 
 ``encode_wire`` is the only codec. A payload is schema checked and
@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,10 +63,6 @@ class WireError(ValueError):
     """Malformed frame, unknown message type, or length mismatch."""
 
 
-class ChannelClosedError(RuntimeError):
-    pass
-
-
 class TranscriptAuditError(AssertionError):
     """A transcript violates the outcome-bit hygiene rules."""
 
@@ -103,15 +98,12 @@ def _schema_violation(msg_type, payload) -> str | None:
 class ProtocolMessage:
     """One typed classical-channel message.
 
-    ``round`` is a round index, a [lo, hi] index range, or None when the
-    message spans the whole session. The payload is encoded when the
-    message is built, so its frame is fixed then: later edits to nested
-    payload values do not reach the wire.
+    The payload is encoded when the message is built, so its frame is
+    fixed then: later edits to nested payload values do not reach the wire.
     """
 
     msg_type: str
     sender: str
-    round: int | list | None = None
     payload: dict = field(default_factory=dict)
     _payload_json: str = field(init=False, repr=False, compare=False)
 
@@ -121,12 +113,6 @@ class ProtocolMessage:
             raise WireError(violation)
         if self.sender not in PARTIES:
             raise WireError(f"unknown sender {self.sender!r}")
-        rnd = self.round
-        if rnd is not None and not isinstance(rnd, int):
-            rnd = [int(v) for v in rnd]
-            if len(rnd) != 2:
-                raise WireError(f"round range must have two entries, got {self.round!r}")
-        object.__setattr__(self, "round", rnd)
         # Copy list values so a caller's later edits cannot reach the message.
         payload = {
             k: list(v) if isinstance(v, (list, tuple)) else v for k, v in self.payload.items()
@@ -137,10 +123,10 @@ class ProtocolMessage:
 
 
 def encode_wire(msg: ProtocolMessage) -> bytes:
-    # the frame object in _dumps's sorted key order, around the cached payload
+    # the frame object in _dumps's sorted key order, with the cached payload spliced in
     body = (
-        f'{{"payload":{msg._payload_json},"round":{_dumps(msg.round)},'
-        f'"sender":{_dumps(msg.sender)},"type":{_dumps(msg.msg_type)}}}'
+        f'{{"payload":{msg._payload_json},"sender":{_dumps(msg.sender)},'
+        f'"type":{_dumps(msg.msg_type)}}}'
     ).encode("utf-8")
     return len(body).to_bytes(4, "big") + body
 
@@ -163,13 +149,11 @@ def decode_wire(frame: bytes, validate: bool = True) -> ProtocolMessage | dict:
         obj = json.loads(frame[4:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"undecodable frame body: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != {"type", "sender", "round", "payload"}:
-        raise WireError("frame body must be an object with type/sender/round/payload")
+    if not isinstance(obj, dict) or set(obj) != {"type", "sender", "payload"}:
+        raise WireError("frame body must be an object with type/sender/payload")
     if not validate:
         return obj
-    return ProtocolMessage(
-        msg_type=obj["type"], sender=obj["sender"], round=obj["round"], payload=obj["payload"]
-    )
+    return ProtocolMessage(msg_type=obj["type"], sender=obj["sender"], payload=obj["payload"])
 
 
 def iter_frames(data: bytes, validate: bool = True) -> Iterator[ProtocolMessage | dict]:
@@ -186,68 +170,39 @@ def iter_frames(data: bytes, validate: bool = True) -> Iterator[ProtocolMessage 
         offset = end
 
 
-class DeliveryReceipt(NamedTuple):
-    recipient: str
-    seq: int
-
-
 class Channel:
     """FIFO message fabric with a global transcript.
 
     Safe for concurrent producers/consumers; each party's inbox should be
     consumed by that party only. Delivery is immediate, so under the
     single-threaded deterministic scheduler (parties acting in a fixed
-    round-robin order) transcripts are byte-reproducible.
+    turn order) transcripts are byte-reproducible.
     """
 
-    def __init__(self, parties: Iterable[str] = PARTIES):
-        self.parties = tuple(parties)
-        self._inboxes: dict[str, deque[ProtocolMessage]] = {p: deque() for p in self.parties}
+    def __init__(self):
+        self._inboxes: dict[str, list[ProtocolMessage]] = {p: [] for p in PARTIES}
         self._transcript: list[ProtocolMessage] = []
         self._lock = threading.Lock()
-        self._open = True
 
-    def _require_open(self) -> None:
-        if not self._open:
-            raise ChannelClosedError("channel is closed")
-
-    def send(self, msg: ProtocolMessage, to: str) -> DeliveryReceipt:
+    def send(self, msg: ProtocolMessage, to: str) -> None:
         with self._lock:
-            self._require_open()
             if to not in self._inboxes:
                 raise KeyError(f"unknown recipient {to!r}")
             self._transcript.append(msg)
             self._inboxes[to].append(msg)
-            return DeliveryReceipt(recipient=to, seq=len(self._transcript) - 1)
 
-    def broadcast(self, msg: ProtocolMessage) -> tuple[DeliveryReceipt, ...]:
+    def broadcast(self, msg: ProtocolMessage) -> None:
         with self._lock:
-            self._require_open()
             self._transcript.append(msg)
-            seq = len(self._transcript) - 1
-            receipts = []
-            for party in self.parties:
-                if party == msg.sender:
-                    continue
-                self._inboxes[party].append(msg)
-                receipts.append(DeliveryReceipt(recipient=party, seq=seq))
-            return tuple(receipts)
-
-    def recv(self, party: str) -> ProtocolMessage | None:
-        with self._lock:
-            inbox = self._inboxes[party]
-            return inbox.popleft() if inbox else None
+            for party in PARTIES:
+                if party != msg.sender:
+                    self._inboxes[party].append(msg)
 
     def drain(self, party: str) -> list[ProtocolMessage]:
         with self._lock:
-            inbox = self._inboxes[party]
-            out = list(inbox)
-            inbox.clear()
+            out = self._inboxes[party]
+            self._inboxes[party] = []
             return out
-
-    def close(self) -> None:
-        with self._lock:
-            self._open = False
 
     @property
     def transcript(self) -> tuple[ProtocolMessage, ...]:

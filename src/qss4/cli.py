@@ -35,14 +35,15 @@ from .postproc import (
 from .protocol import (
     KEYING_PHASES,
     BELL_PHASES,
-    BasisSchedule,
     InsufficientStatisticsError,
     Mode,
     ProtocolError,
+    SessionResult,
     Thresholds,
     check_dealer,
     format_key_transcript,
     format_session_report,
+    party_schedules,
     run_protocol,
 )
 from .quantum import (
@@ -52,6 +53,7 @@ from .quantum import (
     PATTERNS,
     bell_S,
     correlation_analytic,
+    correlation_from_distribution,
     make_psi4_minus,
     outcome_distribution,
 )
@@ -248,6 +250,22 @@ def _thresholds_from_config(cfg: ExperimentConfig) -> Thresholds:
     )
 
 
+def _run_protocol(cfg: ExperimentConfig, mode: Mode, n_windows: int | None,
+                  target_sifted_bits: int | None) -> SessionResult:
+    """One ``run_protocol`` session with the physics and thresholds of ``cfg``."""
+    return run_protocol(
+        mode=mode,
+        visibility=cfg.visibility,
+        dealer=cfg.dealer,
+        source_config=_source_from_config(cfg),
+        attack=_attack_from_config(cfg, mode),
+        n_windows=n_windows,
+        target_sifted_bits=target_sifted_bits,
+        thresholds=_thresholds_from_config(cfg),
+        seed=cfg.seed,
+    )
+
+
 def _out_dir(cfg: ExperimentConfig) -> Path:
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -272,7 +290,7 @@ def cmd_histogram(cfg: ExperimentConfig) -> int:
     n = cfg.samples
     rng = np.random.default_rng(cfg.seed)
     counts = rng.multinomial(n, dist.probs) if n > 0 else np.zeros(16, dtype=np.int64)
-    e_analytic = float(np.dot(dist.probs, PARITY_SIGN))
+    e_analytic = correlation_from_distribution(dist)
     lines = ["pattern,parity,p_analytic,count,p_sampled"]
     for i, name in enumerate(PATTERNS):
         p_sampled = counts[i] / n if n > 0 else 0.0
@@ -389,12 +407,7 @@ def _vernam_demo(result, pipeline: PipelineResult, cfg: ExperimentConfig, out: P
     ok = bool(np.array_equal(decrypted, message_bits))
     write_key_file(
         out / "ciphertext.hex",
-        KeyMaterial(
-            stage="final",
-            bits=cipher,
-            leaked_bits=pipeline.reconcile_result.leaked_bits,
-            qber_estimate=pipeline.dealer_material.qber_estimate,
-        ),
+        KeyMaterial(stage="final", bits=cipher, leaked_bits=pipeline.reconcile_result.leaked_bits),
     )
     lines += [
         f"message_bits={usable}",
@@ -412,19 +425,9 @@ def cmd_qss_run(cfg: ExperimentConfig) -> int:
     target = cfg.target_bits
     if windows is None and target is None:
         target = 2000
-    result = run_protocol(
-        mode=mode,
-        visibility=cfg.visibility,
-        dealer=cfg.dealer,
-        source_config=_source_from_config(cfg),
-        attack=_attack_from_config(cfg, mode),
-        n_windows=windows,
-        target_sifted_bits=target,
-        thresholds=_thresholds_from_config(cfg),
-        seed=cfg.seed,
-    )
+    result = _run_protocol(cfg, mode, windows, target)
     if cfg.dump_records:
-        write_records(result.records, cfg.dump_records, BasisSchedule(mode).party_schedules())
+        write_records(result.records, cfg.dump_records, party_schedules(mode))
 
     report = format_session_report(result)
     if result.aborted:
@@ -495,17 +498,7 @@ def cmd_bell_test(cfg: ExperimentConfig) -> int:
 
     if cfg.windows is None and cfg.target_bits is None:
         raise ConfigError("bell-test needs windows or target_bits (or analytic=true)")
-    result = run_protocol(
-        mode=Mode.BELL,
-        visibility=cfg.visibility,
-        dealer=cfg.dealer,
-        source_config=_source_from_config(cfg),
-        attack=_attack_from_config(cfg, Mode.BELL),
-        n_windows=cfg.windows,
-        target_sifted_bits=cfg.target_bits,
-        thresholds=_thresholds_from_config(cfg),
-        seed=cfg.seed,
-    )
+    result = _run_protocol(cfg, Mode.BELL, cfg.windows, cfg.target_bits)
     rep = result.check_report
     report = [
         "[bell_test]",

@@ -70,7 +70,6 @@ class KeyMaterial:
     stage: str
     bits: np.ndarray
     leaked_bits: int = 0
-    qber_estimate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
@@ -87,7 +86,6 @@ class KeyMaterial:
             stage=stage,
             bits=bits,
             leaked_bits=self.leaked_bits if leaked_bits is None else leaked_bits,
-            qber_estimate=self.qber_estimate,
         )
 
 
@@ -365,7 +363,8 @@ def reconcile(
     channel: Channel | None = None,
     config: ReconcileConfig | None = None,
     qber_hint: float = 0.05,
-    rng: np.random.Generator | int | None = None,
+    *,
+    rng: np.random.Generator,
     dealer: str = "Alice",
     speaker: str = "Bob",
 ) -> ReconcileResult:
@@ -382,8 +381,6 @@ def reconcile(
     if len(d) == 0:
         raise ValueError("cannot reconcile empty keys")
     cfg = config or ReconcileConfig()
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     n = len(d)
     k1 = cfg.initial_block_size(n, qber_hint)
 
@@ -602,7 +599,8 @@ def run_key_pipeline(
     access_bits,
     qber_estimate: float,
     channel: Channel | None = None,
-    rng: np.random.Generator | int | None = None,
+    *,
+    rng: np.random.Generator,
     dealer: str = "Alice",
     speaker: str = "Bob",
     epsilon_exponent: int = 40,
@@ -613,8 +611,6 @@ def run_key_pipeline(
     The hash seed is generated dealer-side and broadcast in the clear
     when a channel is attached (standard for universal hashing).
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     d = _as_bits(dealer_bits, "dealer_bits")
     qber_hint = qber_estimate if qber_estimate > 0 else 0.0
     rec = reconcile(
@@ -650,9 +646,7 @@ def run_key_pipeline(
         dealer_final = np.zeros(0, dtype=np.uint8)
         access_final = np.zeros(0, dtype=np.uint8)
 
-    base = KeyMaterial(
-        stage="sifted", bits=d, leaked_bits=0, qber_estimate=qber_estimate
-    )
+    base = KeyMaterial(stage="sifted", bits=d)
     dealer_rec = base.advanced("reconciled", rec.dealer_bits, leaked_bits=rec.leaked_bits)
     access_rec = base.advanced("reconciled", rec.access_bits, leaked_bits=rec.leaked_bits)
     return PipelineResult(

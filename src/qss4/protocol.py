@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -87,28 +87,23 @@ def check_dealer(dealer: str) -> None:
         raise ValueError(f"unknown dealer {dealer!r}")
 
 
-@dataclass(frozen=True)
-class BasisSchedule:
-    """Per-mode basis plan for all four parties."""
-
-    mode: Mode
-
-    def party_schedules(self) -> tuple[PartySchedule, PartySchedule, PartySchedule, PartySchedule]:
-        if self.mode is Mode.QBER:
-            return tuple(PartySchedule(phases=KEYING_PHASES) for _ in range(4))
-        schedules = []
-        for i in range(4):
-            if i == _BOB_INDEX:
-                schedules.append(
-                    PartySchedule(
-                        phases=BELL_PHASES,
-                        override_phases=KEYING_PHASES,
-                        override_every=BELL_OVERRIDE_EVERY,
-                    )
+def party_schedules(mode: Mode) -> tuple[PartySchedule, PartySchedule, PartySchedule, PartySchedule]:
+    """The basis plan of each of the four parties in ``mode``."""
+    if mode is Mode.QBER:
+        return tuple(PartySchedule(phases=KEYING_PHASES) for _ in range(4))
+    schedules = []
+    for i in range(4):
+        if i == _BOB_INDEX:
+            schedules.append(
+                PartySchedule(
+                    phases=BELL_PHASES,
+                    override_phases=KEYING_PHASES,
+                    override_every=BELL_OVERRIDE_EVERY,
                 )
-            else:
-                schedules.append(PartySchedule(phases=BELL_PHASES))
-        return tuple(schedules)
+            )
+        else:
+            schedules.append(PartySchedule(phases=BELL_PHASES))
+    return tuple(schedules)
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,6 @@ class CheckReport:
     stderr: float
     threshold: float
     verdict: str
-    details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ("qber", "bell"):
@@ -341,21 +335,17 @@ def estimate_qber(
         stderr=stderr,
         threshold=abort_above,
         verdict=verdict,
-        details={"errors": errors},
     )
     return report, sifted.without_positions(positions)
 
 
-def estimate_bell_table(
-    labels: np.ndarray, parities: np.ndarray
-) -> tuple[dict, dict, dict]:
+def estimate_bell_table(labels: np.ndarray, parities: np.ndarray) -> tuple[dict, dict]:
     """Per-setting-combination correlation estimates from Bell-pool rounds.
 
-    Returns (E table, per-combination counts, per-combination variances of
-    the mean). Raises when a combination has no records.
+    Returns (E table, per-combination variances of the mean). Raises when
+    a combination has no records.
     """
     table: dict = {}
-    counts: dict = {}
     variances: dict = {}
     combos = labels.astype(int)
     signs = 1.0 - 2.0 * parities.astype(float)
@@ -368,9 +358,8 @@ def estimate_bell_table(
             raise InsufficientStatisticsError(f"no Bell-pool records for combination {combo}")
         value = float(signs[mask].mean())
         table[combo] = value
-        counts[combo] = n
         variances[combo] = max(1.0 - value * value, 0.0) / n
-    return table, counts, variances
+    return table, variances
 
 
 def bell_estimate_with_stderr(table: dict, variances: dict) -> tuple[float, float]:
@@ -405,7 +394,7 @@ def bell_check(
     if n == 0:
         raise InsufficientStatisticsError("Bell pool is empty")
     parity = _reveal(channel, MSG_BELL_REVEAL, positions, bits, dealer)
-    table, counts, variances = estimate_bell_table(labels, parity)
+    table, variances = estimate_bell_table(labels, parity)
     s_value, stderr = bell_estimate_with_stderr(table, variances)
     threshold = classical_bound + margin_sigmas * stderr
     verdict = "proceed" if s_value > threshold else "abort"
@@ -416,7 +405,6 @@ def bell_check(
         stderr=stderr,
         threshold=threshold,
         verdict=verdict,
-        details={"counts": {str(c): counts[c] for c in ALL_COMBOS}},
     )
 
 
@@ -526,14 +514,14 @@ def run_protocol(
     if (n_windows is None) == (target_sifted_bits is None):
         raise ValueError("give exactly one of n_windows / target_sifted_bits")
     check_dealer(dealer)
-    schedules = BasisSchedule(mode).party_schedules()
+    schedules = party_schedules(mode)
     config = source_config or SourceConfig()
-    noise = NoiseModel(visibility=visibility, attack=attack)
+    noise = NoiseModel(visibility=visibility)
     streams = SessionStreams.from_seed(seed)
     state = make_psi4_minus()
 
     if n_windows is not None:
-        records = run_session(n_windows, schedules, state, noise, config, streams)
+        records = run_session(n_windows, schedules, state, noise, config, streams, attack=attack)
         windows = n_windows
     else:
         rate = _expected_key_rate(mode, config)
@@ -544,7 +532,8 @@ def run_protocol(
         windows = key_bits = 0
         while True:
             chunk = run_session(
-                need, schedules, state, noise, config, streams, first_round_index=windows
+                need, schedules, state, noise, config, streams,
+                first_round_index=windows, attack=attack,
             )
             chunks.append(chunk)
             windows += need

@@ -25,12 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .adversary import AttackConfig
 
 MODES = ("a", "b", "c", "d")
 N_MODES = 4
@@ -115,13 +112,6 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class AnalyzerSetting:
-    """One party's polarization analyzer orientation, as the phase phi."""
-
-    phi: float
-
-
-@dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities over the 16 joint outcome patterns."""
 
@@ -152,14 +142,10 @@ class NoiseModel:
 
     With visibility V the observed distribution is
     V * (pure distribution) + (1 - V) * (uniform over the 16 patterns),
-    so every correlation scales by exactly V. The optional ``attack``
-    field carries an intercept-resend configuration that perturbs the
-    state itself before measurement; it is applied by the session layer,
-    not by :func:`outcome_distribution`.
+    so every correlation scales by exactly V.
     """
 
     visibility: float = 1.0
-    attack: "AttackConfig | None" = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.visibility <= 1.0:
@@ -238,28 +224,24 @@ def analyzer_rows(phi: float) -> np.ndarray:
     return np.stack([analyzer_eigenstate(phi, +1), analyzer_eigenstate(phi, -1)])
 
 
-def _settings_to_phis(settings: Sequence[AnalyzerSetting | float]) -> tuple[float, ...]:
-    if len(settings) != N_MODES:
-        raise ValueError(f"need {N_MODES} analyzer settings, got {len(settings)}")
-    return tuple(s.phi if isinstance(s, AnalyzerSetting) else float(s) for s in settings)
-
-
 def outcome_distribution(
     state: PureState,
-    settings: Sequence[AnalyzerSetting | float],
+    phases: Sequence[float],
     noise: NoiseModel | None = None,
 ) -> OutcomeDistribution:
     """Joint outcome distribution of four analyzer measurements on ``state``.
 
-    Entry (b_a, b_b, b_c, b_d) is the squared projection of the state onto
-    the product of per-mode eigenstates selected by the outcome bits,
-    mixed with uniform noise according to ``noise``.
+    ``phases`` holds the analyzer phase of each mode, a first. Entry
+    (b_a, b_b, b_c, b_d) is the squared projection of the state onto the
+    product of per-mode eigenstates selected by the outcome bits, mixed
+    with uniform noise according to ``noise``.
     """
     norm_sq = state.norm_squared()
     if abs(norm_sq - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"state norm**2 = {norm_sq!r} is not 1 within {INPUT_NORM_TOL}")
-    phis = _settings_to_phis(settings)
-    rows = [analyzer_rows(phi).conj() for phi in phis]
+    if len(phases) != N_MODES:
+        raise ValueError(f"need {N_MODES} analyzer phases, got {len(phases)}")
+    rows = [analyzer_rows(phi).conj() for phi in phases]
     projection = np.einsum(
         "ai,bj,ck,dl,ijkl->abcd", rows[0], rows[1], rows[2], rows[3], state.as_tensor()
     )

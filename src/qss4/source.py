@@ -29,12 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum import (
-    NoiseModel,
-    PureState,
-    make_psi4_minus,
-    outcome_distribution,
-)
+from .quantum import NoiseModel, PureState, outcome_distribution
 
 #: Typical silicon avalanche photodiode efficiency at the source
 #: wavelength, usable via :meth:`SourceConfig.lab_preset`.
@@ -172,11 +167,6 @@ class SessionStreams:
         gens = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(8)]
         return cls(tuple(gens[:4]), *gens[4:])
 
-    @staticmethod
-    def party_stream(seed: int, party_index: int) -> np.random.Generator:
-        """Regenerate a single party's stream without touching the others."""
-        return SessionStreams.from_seed(seed).parties[party_index]
-
 
 class _DistributionCache:
     """Outcome CDFs keyed by (state key, phase tuple); states keyed by Eve's path."""
@@ -274,27 +264,26 @@ def _sample_outcomes(
 def run_session(
     n_windows: int,
     schedules: Sequence[PartySchedule],
-    state: PureState | None,
+    state: PureState,
     noise: NoiseModel,
     config: SourceConfig,
-    streams: SessionStreams | int,
+    streams: SessionStreams,
     first_round_index: int = 0,
+    attack=None,
 ) -> SessionData:
     """Simulate ``n_windows`` acquisition windows and log one record per round.
 
-    Basis labels come from the per-party streams, event counts and
-    outcomes from the source stream, attack randomness (round selection,
-    Eve's bases and outcomes) from the adversary stream. Identical seeds
-    and configuration reproduce the session bit for bit.
+    ``attack`` is an intercept-resend ``AttackConfig`` that perturbs the
+    state before measurement, or None. Basis labels come from the
+    per-party streams, event counts and outcomes from the source stream,
+    attack randomness (round selection, Eve's bases and outcomes) from the
+    adversary stream. Identical seeds and configuration reproduce the
+    session bit for bit.
     """
     if n_windows < 0:
         raise ValueError("n_windows must be >= 0")
     if len(schedules) != 4:
         raise ValueError("need one schedule per party")
-    if isinstance(streams, int):
-        streams = SessionStreams.from_seed(streams)
-    if state is None:
-        state = make_psi4_minus()
 
     round_indices = np.arange(first_round_index, first_round_index + n_windows, dtype=np.int64)
     labels = np.empty((4, n_windows), dtype=np.uint8)
@@ -304,7 +293,6 @@ def run_session(
 
     counts = streams.source.poisson(config.mean_events_per_window, n_windows)
 
-    attack = noise.attack
     attacking = attack is not None and attack.attack_fraction > 0 and attack.attacked_modes
     if attacking:
         attacked = streams.adversary.random(n_windows) < attack.attack_fraction
@@ -379,7 +367,9 @@ def read_records(path) -> SessionData:
     """Parse a record file, rejecting any field the writer cannot produce.
 
     Every distinct phase text is checked once to parse as a float; the
-    phases are not kept, since they follow from the schedules.
+    phases are not kept, since they follow from the schedules. Round
+    indices start at 0 or above and never decrease (count-all mode
+    repeats a window's index).
     """
     rounds, labels, outcomes = [], [], []
     phase_texts: set[str] = set()
@@ -409,8 +399,14 @@ def read_records(path) -> SessionData:
             phase_texts.update(parts[5:9])
     for text in phase_texts:
         float(text)  # a phase field must parse as a float
+    rounds = np.array(rounds, dtype=np.int64)
+    # the first step is taken from 0, so a negative first index fails as well
+    bad = np.flatnonzero(np.diff(rounds, prepend=0) < 0)
+    if bad.size:
+        raise ValueError(f"round index {rounds[bad[0]]} on record {bad[0]} is negative "
+                         "or below the previous record's")
     return SessionData(
-        np.array(rounds, dtype=np.int64),
+        rounds,
         np.take(_LABELS_OF_CODE, np.array(labels, dtype=np.int64), axis=1),
         np.array(outcomes, dtype=np.int8),
     )

@@ -105,7 +105,7 @@ def test_criterion_03_visibility_scaled_bell_estimate():
         odd = int(counts[PARITY_SIGN < 0].sum())
         labels.extend([combo] * count)
         parities.extend([1] * odd + [0] * (count - odd))
-    table, _, variances = estimate_bell_table(
+    table, variances = estimate_bell_table(
         np.array(labels, dtype=np.int64), np.array(parities, dtype=np.uint8)
     )
     s_value, stderr = bell_estimate_with_stderr(table, variances)
@@ -233,7 +233,7 @@ def test_criterion_08_eavesdropping_detection():
         attacked_modes=("b",), eve_bases=KEYING_PHASES, attack_fraction=1.0
     )
     state = make_psi4_minus()
-    noise = NoiseModel(visibility=1.0, attack=attack)
+    noise = NoiseModel(visibility=1.0)
     config = SourceConfig(four_photon_rate=5.0)
     errors = 0
     rounds = 0
@@ -241,7 +241,8 @@ def test_criterion_08_eavesdropping_detection():
     for seed_offset, phi in enumerate(KEYING_PHASES):
         schedules = tuple(PartySchedule(phases=(phi, phi)) for _ in range(4))
         records = run_session(
-            55_000, schedules, state, noise, config, SessionStreams.from_seed(808 + seed_offset)
+            55_000, schedules, state, noise, config, SessionStreams.from_seed(808 + seed_offset),
+            attack=attack,
         )
         bits = records.bits_at(np.nonzero(records.detected)[0])
         rounds += bits.shape[1]

@@ -33,8 +33,8 @@ def _attacked_session(n, attack, phase, seed, rate=5.0):
     schedules = tuple(PartySchedule(phases=(phase, phase)) for _ in range(4))
     streams = SessionStreams.from_seed(seed)
     records = run_session(
-        n, schedules, make_psi4_minus(), NoiseModel(visibility=1.0, attack=attack),
-        SourceConfig(four_photon_rate=rate), streams,
+        n, schedules, make_psi4_minus(), NoiseModel(visibility=1.0),
+        SourceConfig(four_photon_rate=rate), streams, attack=attack,
     )
     return records, streams
 

@@ -19,7 +19,6 @@ from qss4.channel import (
     MSG_SIFT,
     PARTIES,
     Channel,
-    ChannelClosedError,
     ProtocolMessage,
     TranscriptAuditError,
     WireError,
@@ -30,21 +29,20 @@ from qss4.channel import (
 )
 
 REPRESENTATIVE = [
-    ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [0, 3, 7]}),
-    ProtocolMessage(MSG_BASIS, "Bob", None, {"indices": [0, 3], "labels": [1, 0]}),
-    ProtocolMessage(MSG_SIFT, "Alice", None, {"key_indices": [3], "bell_indices": []}),
-    ProtocolMessage(MSG_SAMPLE_REQUEST, "Alice", None, {"positions": [1, 2]}),
-    ProtocolMessage(MSG_SAMPLE_REVEAL, "Claire", None, {"positions": [1, 2], "bits": [0, 1]}),
-    ProtocolMessage(MSG_BELL_REVEAL, "David", None, {"positions": [5], "bits": [1]}),
+    ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [0, 3, 7]}),
+    ProtocolMessage(MSG_BASIS, "Bob", {"indices": [0, 3], "labels": [1, 0]}),
+    ProtocolMessage(MSG_SIFT, "Alice", {"key_indices": [3], "bell_indices": []}),
+    ProtocolMessage(MSG_SAMPLE_REQUEST, "Alice", {"positions": [1, 2]}),
+    ProtocolMessage(MSG_SAMPLE_REVEAL, "Claire", {"positions": [1, 2], "bits": [0, 1]}),
+    ProtocolMessage(MSG_BELL_REVEAL, "David", {"positions": [5], "bits": [1]}),
     ProtocolMessage(
         MSG_PARITY,
         "Alice",
-        [0, 128],
         {"kind": "block_parities", "pass_index": 0, "ranges": [[0, 15]], "parities": [1]},
     ),
-    ProtocolMessage(MSG_HASH_SEED, "Alice", None, {"bits_hex": "a0ff", "n_in": 10, "n_out": 7}),
-    ProtocolMessage(MSG_CIPHERTEXT, "Alice", None, {"bits_hex": "0b", "length": 6}),
-    ProtocolMessage(MSG_ABORT, "Alice", None, {"kind": "qber", "reason": "check failed", "estimate": 0.3, "threshold": 0.11}),
+    ProtocolMessage(MSG_HASH_SEED, "Alice", {"bits_hex": "a0ff", "n_in": 10, "n_out": 7}),
+    ProtocolMessage(MSG_CIPHERTEXT, "Alice", {"bits_hex": "0b", "length": 6}),
+    ProtocolMessage(MSG_ABORT, "Alice", {"kind": "qber", "reason": "check failed", "estimate": 0.3, "threshold": 0.11}),
 ]
 
 
@@ -73,33 +71,33 @@ def _raw_frame(obj) -> bytes:
 #: detection message of older transcripts is an unknown type.
 RETIRED_TYPE = "DetectionAnnouncement"
 RETIRED_FRAME = _raw_frame(
-    {"type": RETIRED_TYPE, "sender": "Bob", "round": None, "payload": {"indices": [0, 3]}}
+    {"type": RETIRED_TYPE, "sender": "Bob", "payload": {"indices": [0, 3]}}
 )
 
 
 def test_wire_unknown_type_is_named():
-    frame = _raw_frame({"type": "Gossip", "sender": "Alice", "round": None, "payload": {}})
+    frame = _raw_frame({"type": "Gossip", "sender": "Alice", "payload": {}})
     with pytest.raises(WireError, match="Gossip"):
         decode_wire(frame)
     with pytest.raises(WireError, match="unknown type 'Gossip'"):
-        ProtocolMessage("Gossip", "Alice", None, {})
+        ProtocolMessage("Gossip", "Alice", {})
     with pytest.raises(WireError, match=f"unknown type '{RETIRED_TYPE}'"):
         decode_wire(RETIRED_FRAME)
 
 
 def test_message_schema_enforced():
     with pytest.raises(WireError, match="unexpected keys"):
-        ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"bogus": 1})
+        ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"bogus": 1})
     # announcements can never carry outcome bits
     with pytest.raises(WireError, match="outcome material"):
-        ProtocolMessage(MSG_BASIS, "Bob", None, {"indices": [0], "labels": [1], "bits": [1]})
+        ProtocolMessage(MSG_BASIS, "Bob", {"indices": [0], "labels": [1], "bits": [1]})
     with pytest.raises(WireError, match="unknown sender"):
-        ProtocolMessage(MSG_SAMPLE_REQUEST, "Eve", None, {"positions": []})
+        ProtocolMessage(MSG_SAMPLE_REQUEST, "Eve", {"positions": []})
 
 
 def test_payload_jsonified():
     msg = ProtocolMessage(
-        MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [np.int64(4), np.int64(9)]}
+        MSG_SAMPLE_REQUEST, "Bob", {"positions": [np.int64(4), np.int64(9)]}
     )
     assert msg.payload == {"positions": [4, 9]}
     assert decode_wire(encode_wire(msg)) == msg
@@ -107,14 +105,14 @@ def test_payload_jsonified():
 
 def test_payload_copied_and_test_encoded():
     indices = [1, 2]
-    msg = ProtocolMessage(MSG_BASIS, "Bob", None, {"indices": indices, "labels": (0, 1)})
+    msg = ProtocolMessage(MSG_BASIS, "Bob", {"indices": indices, "labels": (0, 1)})
     frame = encode_wire(msg)
     indices.append(3)
     assert msg.payload == {"indices": [1, 2], "labels": [0, 1]}
     assert encode_wire(msg) == frame
     for bad in (object(), np.array([1, 2])):
         with pytest.raises(TypeError, match="not wire-encodable"):
-            ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": bad})
+            ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": bad})
 
 
 _payload_strategies = {
@@ -151,13 +149,6 @@ def messages(draw):
     return ProtocolMessage(
         msg_type=msg_type,
         sender=draw(st.sampled_from(PARTIES)),
-        round=draw(
-            st.one_of(
-                st.none(),
-                st.integers(0, 10_000),
-                st.tuples(st.integers(0, 100), st.integers(0, 100)).map(list),
-            )
-        ),
         payload=draw(_payload_strategies[msg_type]),
     )
 
@@ -168,66 +159,63 @@ def test_wire_roundtrip_property(msg):
     frame = encode_wire(msg)
     assert decode_wire(frame) == msg
     # the spliced frame equals one sorted, compact encode of the whole object
-    whole = {"type": msg.msg_type, "sender": msg.sender, "round": msg.round,
-             "payload": msg.payload}
+    whole = {"type": msg.msg_type, "sender": msg.sender, "payload": msg.payload}
     assert frame[4:] == json.dumps(whole, sort_keys=True, separators=(",", ":")).encode()
 
 
 def test_channel_fifo_and_roundtrip():
     ch = Channel()
-    first = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [1]})
-    second = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", None, {"positions": [2]})
+    first = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [1]})
+    second = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [2]})
     ch.send(first, to="Alice")
     ch.send(second, to="Alice")
-    assert ch.recv("Alice") == first
-    assert ch.recv("Alice") == second
-    assert ch.recv("Alice") is None
+    assert ch.drain("Alice") == [first, second]
+    assert ch.drain("Alice") == []
 
 
 def test_channel_broadcast():
     ch = Channel()
-    msg = ProtocolMessage(MSG_SIFT, "Alice", None, {"key_indices": [], "bell_indices": []})
-    receipts = ch.broadcast(msg)
-    assert {r.recipient for r in receipts} == {"Bob", "Claire", "David"}
+    msg = ProtocolMessage(MSG_SIFT, "Alice", {"key_indices": [], "bell_indices": []})
+    ch.broadcast(msg)
     for party in ("Bob", "Claire", "David"):
-        assert ch.recv(party) == msg
-    assert ch.recv("Alice") is None
+        assert ch.drain(party) == [msg]
+    assert ch.drain("Alice") == []
+    assert ch.transcript == (msg,)
 
 
 def test_channel_per_sender_order_with_interleaving():
     ch = Channel()
     for i in range(3):
-        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", i, {"positions": [i]}))
-        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Claire", i, {"positions": [i]}))
+        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [i]}))
+        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Claire", {"positions": [i]}))
     inbox = ch.drain("David")
-    bob_rounds = [m.round for m in inbox if m.sender == "Bob"]
-    claire_rounds = [m.round for m in inbox if m.sender == "Claire"]
-    assert bob_rounds == [0, 1, 2]
-    assert claire_rounds == [0, 1, 2]
+    bob_tags = [m.payload["positions"][0] for m in inbox if m.sender == "Bob"]
+    claire_tags = [m.payload["positions"][0] for m in inbox if m.sender == "Claire"]
+    assert bob_tags == [0, 1, 2]
+    assert claire_tags == [0, 1, 2]
 
 
 def test_channel_concurrent_senders():
     per_thread = 400
-    seqs: list[int] = []
-    seqs_lock = threading.Lock()
+    sent: list[ProtocolMessage] = []
+    sent_lock = threading.Lock()
     ch = Channel()
     start = threading.Barrier(len(PARTIES))
 
     def produce(sender: str) -> None:
         to = PARTIES[(PARTIES.index(sender) + 1) % len(PARTIES)]
         msgs = [
-            ProtocolMessage(MSG_SAMPLE_REQUEST, sender, i, {"positions": [i]})
+            ProtocolMessage(MSG_SAMPLE_REQUEST, sender, {"positions": [i]})
             for i in range(per_thread)
         ]
-        mine = []
         start.wait(timeout=30)
         for i, msg in enumerate(msgs):
             if i % 2:
-                mine.append(ch.broadcast(msg)[0].seq)
+                ch.broadcast(msg)
             else:
-                mine.append(ch.send(msg, to=to).seq)
-        with seqs_lock:
-            seqs.extend(mine)
+                ch.send(msg, to=to)
+        with sent_lock:
+            sent.extend(msgs)
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -244,9 +232,11 @@ def test_channel_concurrent_senders():
     total = per_thread * len(PARTIES)
     transcript = ch.transcript
     assert len(transcript) == total
-    assert sorted(seqs) == list(range(total))
+    # every sent message object is in the transcript exactly once
+    assert len(sent) == total
+    assert sorted(map(id, transcript)) == sorted(map(id, sent))
     position = {id(m): k for k, m in enumerate(transcript)}
-    broadcast_rounds = list(range(1, per_thread, 2))
+    broadcast_tags = list(range(1, per_thread, 2))
     for party in PARTIES:
         inbox = ch.drain(party)
         # one lock orders sends and deliveries alike
@@ -254,22 +244,13 @@ def test_channel_concurrent_senders():
         assert delivered == sorted(delivered)
         previous = PARTIES[PARTIES.index(party) - 1]
         for sender in PARTIES:
-            rounds = [m.round for m in inbox if m.sender == sender]
+            tags = [m.payload["positions"][0] for m in inbox if m.sender == sender]
             if sender == party:
-                assert rounds == []
+                assert tags == []
             elif sender == previous:
-                assert rounds == list(range(per_thread))
+                assert tags == list(range(per_thread))
             else:
-                assert rounds == broadcast_rounds
-
-
-def test_channel_closed():
-    ch = Channel()
-    ch.close()
-    with pytest.raises(ChannelClosedError):
-        ch.send(REPRESENTATIVE[0], to="Alice")
-    with pytest.raises(ChannelClosedError):
-        ch.broadcast(REPRESENTATIVE[0])
+                assert tags == broadcast_tags
 
 
 def test_channel_unknown_recipient():
@@ -293,7 +274,7 @@ def test_audit_accepts_clean_transcript():
 
 
 def test_audit_rejects_outcome_bits_in_announcement():
-    basis = {"type": MSG_BASIS, "sender": "Bob", "round": None}
+    basis = {"type": MSG_BASIS, "sender": "Bob"}
     frame = _raw_frame({**basis, "payload": {"indices": [0], "labels": [1], "bits": [1]}})
     with pytest.raises(TranscriptAuditError, match="outcome material"):
         audit_outcome_hygiene(frame)
@@ -307,3 +288,14 @@ def test_audit_rejects_unknown_type():
         audit_outcome_hygiene([{"type": "Gossip", "payload": {}}])
     with pytest.raises(TranscriptAuditError, match=f"message 1: unknown type '{RETIRED_TYPE}'"):
         audit_outcome_hygiene(encode_wire(REPRESENTATIVE[1]) + RETIRED_FRAME)
+
+
+def test_frame_with_round_key_is_rejected():
+    old = _raw_frame({"type": MSG_SAMPLE_REQUEST, "sender": "Bob", "round": None,
+                      "payload": {"positions": [1]}})
+    with pytest.raises(WireError, match="type/sender/payload"):
+        decode_wire(old)
+    with pytest.raises(WireError, match="type/sender/payload"):
+        decode_wire(old, validate=False)
+    with pytest.raises(WireError, match="type/sender/payload"):
+        audit_outcome_hygiene(encode_wire(REPRESENTATIVE[0]) + old)

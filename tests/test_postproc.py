@@ -25,7 +25,7 @@ from qss4.postproc import (
 
 
 def test_key_material_stages():
-    sifted = KeyMaterial(stage="sifted", bits=[1, 0, 1], qber_estimate=0.05)
+    sifted = KeyMaterial(stage="sifted", bits=[1, 0, 1])
     reconciled = sifted.advanced("reconciled", [1, 0, 1], leaked_bits=12)
     final = reconciled.advanced("final", [1])
     assert final.leaked_bits == 12
@@ -58,7 +58,7 @@ def test_final_key_length():
 def test_reconcile_identical_inputs():
     rng = np.random.default_rng(0)
     key = rng.integers(0, 2, 600, dtype=np.uint8)
-    result = reconcile(key, key.copy(), qber_hint=0.0, rng=1)
+    result = reconcile(key, key.copy(), qber_hint=0.0, rng=np.random.default_rng(1))
     assert np.array_equal(result.access_bits, key)
     assert result.corrected == 0
     # only the mandatory block parities and the verification leak
@@ -70,7 +70,7 @@ def test_reconcile_single_error():
     dealer = rng.integers(0, 2, 400, dtype=np.uint8)
     access = dealer.copy()
     access[137] ^= 1
-    result = reconcile(dealer, access, qber_hint=0.05, rng=2)
+    result = reconcile(dealer, access, qber_hint=0.05, rng=np.random.default_rng(2))
     assert np.array_equal(result.access_bits, dealer)
     assert result.corrected == 1
 
@@ -121,9 +121,9 @@ def test_reconcile_nonconvergence_raises():
 
 def test_reconcile_validation():
     with pytest.raises(ValueError):
-        reconcile([1, 0], [1], rng=0)
+        reconcile([1, 0], [1], rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        reconcile([], [], rng=0)
+        reconcile([], [], rng=np.random.default_rng(0))
 
 
 # --- privacy amplification --------------------------------------------------

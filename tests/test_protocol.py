@@ -21,7 +21,6 @@ from qss4.protocol import (
     BELL_PHASES,
     KEYING_PHASES,
     replay_protocol,
-    BasisSchedule,
     CheckReport,
     EmptySampleError,
     InsufficientStatisticsError,
@@ -32,6 +31,7 @@ from qss4.protocol import (
     check_dealer,
     estimate_qber,
     format_key_transcript,
+    party_schedules,
     reconstruct_dealer_bit,
     run_protocol,
     semi_access_predictor,
@@ -57,9 +57,9 @@ def test_roles():
 
 
 def test_basis_schedules():
-    qber = BasisSchedule(Mode.QBER).party_schedules()
+    qber = party_schedules(Mode.QBER)
     assert all(s.phases == KEYING_PHASES and s.override_every == 0 for s in qber)
-    bell = BasisSchedule(Mode.BELL).party_schedules()
+    bell = party_schedules(Mode.BELL)
     assert all(s.phases == BELL_PHASES for s in bell)
     assert bell[1].override_every == 5
     assert bell[1].override_phases == KEYING_PHASES
@@ -407,7 +407,7 @@ def test_replay_from_record_file(tmp_path):
         source_config=FAST_SOURCE,
     )
     path = tmp_path / "session.records"
-    write_records(live.records, path, BasisSchedule(Mode.QBER).party_schedules())
+    write_records(live.records, path, party_schedules(Mode.QBER))
     replayed = replay_protocol(read_records(path), mode=Mode.QBER, seed=77,
                                target_sifted_bits=400)
     assert replayed.check_report == live.check_report
@@ -439,7 +439,7 @@ def test_live_equals_replay_over_record_file(seed, mode, first_event_only, attac
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "session.records"
-        write_records(live.records, path, BasisSchedule(mode).party_schedules())
+        write_records(live.records, path, party_schedules(mode))
         replayed = replay_protocol(read_records(path), mode=mode, seed=seed,
                                    target_sifted_bits=size.get("target_sifted_bits"))
     assert replayed.records == live.records

@@ -6,7 +6,6 @@ import pytest
 
 from qss4.quantum import (
     ALL_COMBOS,
-    AnalyzerSetting,
     BellSetting,
     NoiseModel,
     OutcomeDistribution,
@@ -112,13 +111,6 @@ def test_distribution_pure_noise():
     assert np.allclose(dist.probs, 1 / 16, atol=1e-12)
 
 
-def test_distribution_accepts_settings_objects():
-    settings = tuple(AnalyzerSetting(phi) for phi in (0.1, 0.2, 0.3, 0.4))
-    d1 = outcome_distribution(make_psi4_minus(), settings)
-    d2 = outcome_distribution(make_psi4_minus(), (0.1, 0.2, 0.3, 0.4))
-    assert np.allclose(d1.probs, d2.probs, atol=1e-15)
-
-
 def test_distribution_parity_even_at_common_phase():
     for phi in (math.pi / 4, 0.0, 1.3):
         dist = outcome_distribution(make_psi4_minus(), (phi,) * 4)
@@ -134,6 +126,8 @@ def test_distribution_rejects_unnormalized_state():
 
 
 def test_distribution_validation():
+    with pytest.raises(ValueError, match="need 4 analyzer phases, got 3"):
+        outcome_distribution(make_psi4_minus(), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         OutcomeDistribution(np.full(16, 0.1))
     with pytest.raises(ValueError):

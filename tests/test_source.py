@@ -86,7 +86,7 @@ def test_session_deterministic():
 
 def test_party_stream_reproducible_in_isolation():
     records = _session(200, seed=9)
-    solo = SessionStreams.party_stream(9, 2).integers(0, 2, 200)
+    solo = SessionStreams.from_seed(9).parties[2].integers(0, 2, 200)
     assert records.labels[2].tolist() == solo.tolist()
 
 
@@ -172,6 +172,7 @@ def _write_lines(path, *lines):
         ("0,0,1,0,2,0.0,0.0,0.0,0.0,1,0101", "labels"),
         ("0,0,1,0,1,0.0,0.0,0.0,0.0,1", "bad record line"),
         ("0,0,1,0,1,0.0,x,0.0,0.0,1,0101", "float"),
+        ("-1,0,0,0,0,0.0,0.0,0.0,0.0,0,-", "round index -1"),
     ],
 )
 def test_record_file_rejects_bad_fields(tmp_path, line, problem):
@@ -183,7 +184,7 @@ def test_record_file_rejects_bad_fields(tmp_path, line, problem):
     assert len(read_records(path)) == 1
 
 
-def _reference_session(n, schedules, noise, config, seed):
+def _reference_session(n, schedules, noise, config, seed, attack):
     """Per-window loop over the same streams: the reference for run_session."""
     streams = SessionStreams.from_seed(seed)
     labels = [streams.parties[i].integers(0, 2, n) for i in range(4)]
@@ -193,7 +194,6 @@ def _reference_session(n, schedules, noise, config, seed):
         for w in range(n)
     ]
     counts = streams.source.poisson(config.mean_events_per_window, n)
-    attack = noise.attack
     if attack is not None and attack.attack_fraction > 0 and attack.attacked_modes:
         attacked = streams.adversary.random(n) < attack.attack_fraction
     else:
@@ -233,10 +233,11 @@ def test_run_session_matches_per_window_reference(seed, first_event_only, schedu
     if attack is not None:
         attack = AttackConfig(attacked_modes=tuple(attack[0]), eve_bases=(0.0, math.pi / 2),
                               attack_fraction=attack[1])
-    noise = NoiseModel(visibility=0.9, attack=attack)
+    noise = NoiseModel(visibility=0.9)
     config = SourceConfig(four_photon_rate=1.5, detector_efficiency=0.9,
                           first_event_only=first_event_only)
-    records = run_session(600, schedules, None, noise, config, seed)
-    reference = _reference_session(600, schedules, noise, config, seed)
+    records = run_session(600, schedules, make_psi4_minus(), noise, config,
+                          SessionStreams.from_seed(seed), attack=attack)
+    reference = _reference_session(600, schedules, noise, config, seed, attack)
     for f in fields(SessionData):
         assert np.array_equal(getattr(records, f.name), getattr(reference, f.name)), f.name
