@@ -43,8 +43,8 @@ PAYLOAD_SCHEMA: dict[str, frozenset[str]] = {
     MSG_BASIS: frozenset({"indices", "labels"}),
     MSG_SIFT: frozenset({"key_indices", "bell_indices"}),
     MSG_SAMPLE_REQUEST: frozenset({"positions"}),
-    MSG_SAMPLE_REVEAL: frozenset({"positions", "bits"}),
-    MSG_BELL_REVEAL: frozenset({"positions", "bits"}),
+    MSG_SAMPLE_REVEAL: frozenset({"bits"}),
+    MSG_BELL_REVEAL: frozenset({"bits"}),
     MSG_PARITY: frozenset(
         {"kind", "pass_index", "block_size", "ranges", "parities", "perm_seed", "verify_seed", "ok"}
     ),

@@ -266,13 +266,14 @@ def sift(
 def _reveal(
     channel: Channel,
     msg_type: str,
-    positions: np.ndarray,
     bits: Mapping[str, np.ndarray],
     dealer: str,
 ) -> np.ndarray:
-    """Have every non-dealer reveal its ``bits`` at ``positions`` to the dealer.
+    """Have every non-dealer reveal its ``bits`` to the dealer.
 
-    ``bits`` maps each party to its bits at ``positions``. Returns the round
+    ``bits`` maps each party to its bits at the positions the dealer
+    already named (a ``SampleRequest``, or ``SiftDecision.bell_indices``),
+    in that order, so a reveal carries the bits alone. Returns the round
     parities: the dealer's bits XOR the three revealed rows.
     """
     parity = bits[dealer].astype(np.uint8)
@@ -281,11 +282,7 @@ def _reveal(
             continue
         revealed = bits[party].astype(np.uint8, copy=False)
         channel.send(
-            ProtocolMessage(
-                msg_type,
-                sender=party,
-                payload={"positions": positions.tolist(), "bits": revealed.tolist()},
-            ),
+            ProtocolMessage(msg_type, sender=party, payload={"bits": revealed.tolist()}),
             to=dealer,
         )
         parity ^= revealed
@@ -324,7 +321,7 @@ def estimate_qber(
         )
     )
     sample = {p: arr[positions] for p, arr in sifted.bits.items()}
-    errors = int(np.count_nonzero(_reveal(channel, MSG_SAMPLE_REVEAL, positions, sample, dealer)))
+    errors = int(np.count_nonzero(_reveal(channel, MSG_SAMPLE_REVEAL, sample, dealer)))
     estimate = errors / k
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / k)
     verdict = "proceed" if estimate <= abort_above else "abort"
@@ -393,7 +390,7 @@ def bell_check(
     n = len(positions)
     if n == 0:
         raise InsufficientStatisticsError("Bell pool is empty")
-    parity = _reveal(channel, MSG_BELL_REVEAL, positions, bits, dealer)
+    parity = _reveal(channel, MSG_BELL_REVEAL, bits, dealer)
     table, variances = estimate_bell_table(labels, parity)
     s_value, stderr = bell_estimate_with_stderr(table, variances)
     threshold = classical_bound + margin_sigmas * stderr

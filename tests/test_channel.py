@@ -33,8 +33,8 @@ REPRESENTATIVE = [
     ProtocolMessage(MSG_BASIS, "Bob", {"indices": [0, 3], "labels": [1, 0]}),
     ProtocolMessage(MSG_SIFT, "Alice", {"key_indices": [3], "bell_indices": []}),
     ProtocolMessage(MSG_SAMPLE_REQUEST, "Alice", {"positions": [1, 2]}),
-    ProtocolMessage(MSG_SAMPLE_REVEAL, "Claire", {"positions": [1, 2], "bits": [0, 1]}),
-    ProtocolMessage(MSG_BELL_REVEAL, "David", {"positions": [5], "bits": [1]}),
+    ProtocolMessage(MSG_SAMPLE_REVEAL, "Claire", {"bits": [0, 1]}),
+    ProtocolMessage(MSG_BELL_REVEAL, "David", {"bits": [1]}),
     ProtocolMessage(
         MSG_PARITY,
         "Alice",
@@ -93,6 +93,11 @@ def test_message_schema_enforced():
         ProtocolMessage(MSG_BASIS, "Bob", {"indices": [0], "labels": [1], "bits": [1]})
     with pytest.raises(WireError, match="unknown sender"):
         ProtocolMessage(MSG_SAMPLE_REQUEST, "Eve", {"positions": []})
+    # a reveal answers in the order the dealer named the positions, so it repeats none
+    for reveal in (MSG_SAMPLE_REVEAL, MSG_BELL_REVEAL):
+        old = _raw_frame({"type": reveal, "sender": "Bob", "payload": {"positions": [1], "bits": [0]}})
+        with pytest.raises(WireError, match=r"unexpected keys \['positions'\]"):
+            decode_wire(old)
 
 
 def test_payload_jsonified():
@@ -122,12 +127,7 @@ _payload_strategies = {
             "labels": st.lists(st.integers(0, 1), max_size=20),
         }
     ),
-    MSG_SAMPLE_REVEAL: st.fixed_dictionaries(
-        {
-            "positions": st.lists(st.integers(0, 5000), max_size=20),
-            "bits": st.lists(st.integers(0, 1), max_size=20),
-        }
-    ),
+    MSG_SAMPLE_REVEAL: st.fixed_dictionaries({"bits": st.lists(st.integers(0, 1), max_size=20)}),
     MSG_PARITY: st.fixed_dictionaries(
         {
             "kind": st.sampled_from(["block_parities", "search_parity", "verify"]),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qss4.channel import MSG_HASH_SEED, MSG_PARITY, Channel, audit_outcome_hygiene
 from qss4.postproc import (
     FORMULA_ID,
+    _masked_parities,
+    _verify_masks,
     KeyMaterial,
     KeyReuseError,
     ReconcileConfig,
@@ -109,6 +111,64 @@ def test_reconcile_leak_matches_transcript():
     audit_outcome_hygiene(channel.transcript)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 5, 3000]) | st.integers(1, 3000),
+    q=st.just(0.0) | st.floats(0.0, 0.08),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reconcile_transcript_matches_dealer_key(n, q, seed):
+    rng = np.random.default_rng(seed)
+    dealer = rng.integers(0, 2, n, dtype=np.uint8)
+    access = dealer ^ (rng.random(n) < q).astype(np.uint8)
+    # two flipped bits of a two-bit key share every block of every pass
+    assume(n != 2 or np.count_nonzero(dealer ^ access) < 2)
+    channel = Channel()
+    result = reconcile(dealer, access, channel=channel, qber_hint=q, rng=rng)
+
+    frames = [m for m in channel.transcript if m.msg_type == MSG_PARITY]
+    setup = frames[0].payload
+    assert setup["kind"] == "setup"
+    perm_rng = np.random.default_rng(setup["perm_seed"])
+    perms = [np.arange(n)]
+
+    def parity(p, lo, hi):
+        while len(perms) <= p:
+            perms.append(perm_rng.permutation(n))
+        return int(np.bitwise_xor.reduce(dealer[perms[p][lo:hi]]))
+
+    wire_bits, request = 0, None
+    for msg in frames:
+        payload = msg.payload
+        if "parities" in payload:
+            assert msg.sender == "Alice"
+            wire_bits += len(payload["parities"])
+        if payload["kind"] == "block_parities":
+            p, k = payload["pass_index"], payload["block_size"]
+            assert all(lo % k == 0 and hi == min(lo + k, n) for lo, hi in payload["ranges"])
+            assert payload["parities"] == [parity(p, lo, hi) for lo, hi in payload["ranges"]]
+        elif payload["kind"] == "search_request":
+            assert msg.sender == "Bob" and request is None
+            request = payload["ranges"]
+        elif payload["kind"] == "search_parity":
+            assert len(payload["parities"]) == len(request)
+            assert payload["parities"] == [parity(p, lo, hi) for p, lo, hi in request]
+            request = None
+    assert request is None
+    assert np.array_equal(result.access_bits, dealer)
+    assert result.leaked_bits == wire_bits
+
+
+@pytest.mark.parametrize("rows, n", [(20, 1), (20, 8), (3, 13), (20, 3001)])
+def test_verify_parities_match_dense_product(rows, n):
+    rng = np.random.default_rng(rows * 10_007 + n)
+    key = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = int(rng.integers(0, 2**31))
+    mask = (np.random.default_rng(seed).random((rows, n)) < 0.5).astype(np.int64)
+    dense = (mask @ key.astype(np.int64)) & 1
+    assert np.array_equal(_masked_parities(_verify_masks(seed, rows, n), key), dense)
+
+
 def test_reconcile_nonconvergence_raises():
     rng = np.random.default_rng(11)
     dealer = rng.integers(0, 2, 400, dtype=np.uint8)
@@ -124,6 +184,8 @@ def test_reconcile_validation():
         reconcile([1, 0], [1], rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         reconcile([], [], rng=np.random.default_rng(0))
+    # a subnormal hint overflows 0.73 / hint to inf: one block of the whole key
+    assert ReconcileConfig().initial_block_size(600, 5e-324) == 600
 
 
 # --- privacy amplification --------------------------------------------------
