@@ -15,12 +15,19 @@ construction on. One schema rule is shared by the constructor (and therefore by
 carry outcome bits, and an audit pass over any transcript (including raw
 frames produced elsewhere) verifies that secret-bearing fields appear only
 in the reveal and parity-exchange message types.
+
+Every set of round positions on the wire is a bitmap: ``encode_mask``
+packs a 0/1 array with ``np.packbits`` and compresses it with zlib at
+level 1, as hex text, and ``decode_mask`` is its strict inverse.
+``payload_masks`` decodes and length-checks every bitmap of a payload;
+``decode_wire`` applies it to each frame it validates.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -40,9 +47,9 @@ MSG_ABORT = "Abort"
 
 #: Allowed payload keys per message type.
 PAYLOAD_SCHEMA: dict[str, frozenset[str]] = {
-    MSG_BASIS: frozenset({"indices", "labels"}),
-    MSG_SIFT: frozenset({"key_indices", "bell_indices"}),
-    MSG_SAMPLE_REQUEST: frozenset({"positions"}),
+    MSG_BASIS: frozenset({"n", "detected", "labels"}),
+    MSG_SIFT: frozenset({"n", "key", "bell"}),
+    MSG_SAMPLE_REQUEST: frozenset({"n", "sample"}),
     MSG_SAMPLE_REVEAL: frozenset({"bits"}),
     MSG_BELL_REVEAL: frozenset({"bits"}),
     MSG_PARITY: frozenset(
@@ -131,12 +138,78 @@ def encode_wire(msg: ProtocolMessage) -> bytes:
     return len(body).to_bytes(4, "big") + body
 
 
+def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
+    """Inverse of ``postproc.bits_to_hex``: exactly ceil(length/8) bytes, zero padding bits."""
+    if length < 0:
+        raise ValueError(f"bit length must be >= 0, got {length}")
+    n_chars = 2 * ((length + 7) // 8)
+    if len(hex_string) != n_chars:
+        raise ValueError(f"{length} bits take {n_chars} hex characters, got {len(hex_string)}")
+    raw = bytes.fromhex(hex_string)
+    if 2 * len(raw) != n_chars:  # fromhex skips whitespace between digits
+        raise ValueError(f"{length} bits take {n_chars} hex digits, got {2 * len(raw)}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if bits[length:].any():
+        raise ValueError("padding bits after the last key bit are not zero")
+    return bits[:length].copy()
+
+
+def encode_mask(mask) -> str:
+    """A 0/1 array as hex text of its packed bits, zlib-compressed at level 1."""
+    return zlib.compress(np.packbits(mask).tobytes(), 1).hex()
+
+
+def decode_mask(text, n: int) -> np.ndarray:
+    """Strict inverse of ``encode_mask``: the n entries as a bool array.
+
+    The text must be one complete zlib stream that inflates to exactly
+    ceil(n/8) bytes with zero padding bits. Inflation stops one byte past
+    that length, so an oversized stream costs no memory. Raises WireError.
+    """
+    try:
+        inflate = zlib.decompressobj()
+        raw = inflate.decompress(bytes.fromhex(text), (n + 7) // 8 + 1)
+        bits = hex_to_bits(raw.hex(), n)
+        if not inflate.eof or inflate.unused_data:
+            raise WireError("not exactly one complete zlib stream")
+    except (TypeError, ValueError, OverflowError, zlib.error) as exc:
+        raise WireError(f"bad bitmap of {n!r} entries: {exc}") from exc
+    return bits.view(bool)
+
+
+def payload_masks(msg_type: str, payload: dict) -> dict[str, np.ndarray]:
+    """The decoded bitmaps of a payload, each checked against its length.
+
+    A type whose schema has ``n`` carries one bitmap of n entries under
+    each of its other keys, except ``labels``: an announcement's labels
+    hold one bit per record its ``detected`` bitmap marks. Other types
+    decode to {}. Raises WireError for a missing key or a bitmap that does
+    not decode to its length.
+    """
+    schema = PAYLOAD_SCHEMA.get(msg_type, frozenset())
+    if "n" not in schema:
+        return {}
+    missing = schema - payload.keys()
+    if missing:
+        raise WireError(f"{msg_type} lacks keys {sorted(missing)}")
+    n = payload["n"]
+    if type(n) is not int or n < 0:
+        raise WireError(f"{msg_type} n must be a non-negative int, got {n!r}")
+    masks = {}
+    for key in sorted(schema - {"n", "labels"}):
+        masks[key] = decode_mask(payload[key], n)
+    if "labels" in schema:
+        masks["labels"] = decode_mask(payload["labels"], int(np.count_nonzero(masks["detected"])))
+    return masks
+
+
 def decode_wire(frame: bytes, validate: bool = True) -> ProtocolMessage | dict:
     """Decode exactly one frame.
 
     With ``validate=False`` the raw decoded object is returned without
     schema enforcement, which lets the audit inspect frames that the
-    strict constructor would reject.
+    strict constructor would reject. A validated frame also has every
+    bitmap decoded and length-checked (``payload_masks``).
     """
     if len(frame) < 4:
         raise WireError("frame shorter than its length prefix")
@@ -153,7 +226,9 @@ def decode_wire(frame: bytes, validate: bool = True) -> ProtocolMessage | dict:
         raise WireError("frame body must be an object with type/sender/payload")
     if not validate:
         return obj
-    return ProtocolMessage(msg_type=obj["type"], sender=obj["sender"], payload=obj["payload"])
+    msg = ProtocolMessage(msg_type=obj["type"], sender=obj["sender"], payload=obj["payload"])
+    payload_masks(msg.msg_type, msg.payload)
+    return msg
 
 
 def iter_frames(data: bytes, validate: bool = True) -> Iterator[ProtocolMessage | dict]:

@@ -9,7 +9,10 @@ cascading back into earlier passes. Only the dealer ever transmits parity
 bits; the access side sends range requests and acknowledgements, so the
 leakage count is exactly the number of dealer parity bits on the channel.
 A randomized parity verification follows; while it fails, recovery passes
-over permuted blocks of n/4 bits run until the pass budget is exhausted.
+over permuted blocks of n/4 bits (single bits for keys under 8 bits) run
+until the pass budget is exhausted. A pass that corrects more than n bits
+can only be following parities that do not match the dealer's key, so it
+raises ReconciliationError.
 
 The binary searches run level-synchronously, as in the batched search of
 Martinez-Mateo et al. ("Demystifying the information reconciliation
@@ -64,6 +67,7 @@ from .channel import (
     MSG_PARITY,
     Channel,
     ProtocolMessage,
+    hex_to_bits,
 )
 
 STAGES = ("sifted", "reconciled", "final")
@@ -229,6 +233,7 @@ class _Cascade:
         self.verify_parities: np.ndarray | None = None
         self.leaked = 0
         self.corrected = 0
+        self.correction_cap = 0
 
     # -- channel plumbing ---------------------------------------------------
 
@@ -273,13 +278,17 @@ class _Cascade:
         """
         ranges = np.array([entry[:3] for entry in asked], dtype=np.int64)
         self._emit(self.speaker, {"kind": "search_request", "ranges": ranges.tolist()})
-        rows = ranges[:, 0]
-        parities = (self.d_prefix[rows, ranges[:, 2]] ^ self.d_prefix[rows, ranges[:, 1]]).tolist()
+        parities = self._dealer_parities(ranges).tolist()
         self.leaked += len(parities)
         self._emit(self.dealer, {"kind": "search_parity", "parities": parities})
         for (p, lo, mid, hi, parent), left in zip(asked, parities):
             self._learn(p, lo, mid, left)
             self._learn(p, mid, hi, parent ^ left)
+
+    def _dealer_parities(self, ranges: np.ndarray) -> np.ndarray:
+        """The dealer's parity of each requested ``[pass, lo, hi)``."""
+        rows = ranges[:, 0]
+        return self.d_prefix[rows, ranges[:, 2]] ^ self.d_prefix[rows, ranges[:, 1]]
 
     # -- passes ---------------------------------------------------------------
 
@@ -299,6 +308,11 @@ class _Cascade:
         an eighth of them (rounded up) at a time in a later pass. A wave
         settles before the next opens, so its corrections can fix a queued
         block before anyone searches it.
+
+        A pass may correct at most n bits: honest parities correct only
+        wrong bits, so more means a dealer reply that does not match its
+        key, and the pass raises ReconciliationError instead of cascading
+        forever.
         """
         p = len(self.perms)
         perm = np.arange(self.n) if p == 0 else perm_rng.permutation(self.n)
@@ -308,6 +322,7 @@ class _Cascade:
         self.inv_perms.append(inv)
         self.block_sizes.append(int(block_size))
         self.a_perm.append(self.a[perm])
+        self.correction_cap = self.corrected + self.n
         prefix = np.zeros(self.n + 1, dtype=np.uint8)
         np.bitwise_xor.accumulate(self.d[perm], out=prefix[1:])
         self.d_prefix = np.vstack([self.d_prefix, prefix])
@@ -413,6 +428,10 @@ class _Cascade:
         """
         self.a[pos] ^= 1
         self.corrected += 1
+        if self.corrected > self.correction_cap:
+            raise ReconciliationError(
+                f"pass {len(self.perms) - 1} corrected more than all {self.n} bits"
+            )
         opened = []
         for p, inv in enumerate(self.inv_perms):
             slot = int(inv[pos])
@@ -508,8 +527,9 @@ def reconcile(
     verify_rounds = 0
     verify_seed = int(rng.integers(0, 2**31))
     # recovery passes hunt the few surviving errors with large blocks:
-    # cheap scans, and fresh permutations split surviving pairs eventually
-    recovery_block = min(n, max(n // 4, 2))
+    # cheap scans, and fresh permutations split surviving pairs eventually;
+    # below 8 bits they are single bits: both bits of a 2-bit key can be wrong
+    recovery_block = max(n // 4, 1)
     while True:
         verify_rounds += 1
         if cas.verify(cfg.verify_bits, verify_seed):
@@ -650,19 +670,6 @@ def bits_to_hex(bits) -> str:
     if arr.size == 0:
         return ""
     return np.packbits(arr).tobytes().hex()
-
-
-def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
-    """Inverse of ``bits_to_hex``: exactly ceil(length/8) bytes, zero padding bits."""
-    if length < 0:
-        raise ValueError(f"bit length must be >= 0, got {length}")
-    n_chars = 2 * ((length + 7) // 8)
-    if len(hex_string) != n_chars:
-        raise ValueError(f"{length} bits take {n_chars} hex characters, got {len(hex_string)}")
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8))
-    if bits[length:].any():
-        raise ValueError("padding bits after the last key bit are not zero")
-    return bits[:length].copy()
 
 
 def write_key_file(path, material: KeyMaterial, formula_id: str = FORMULA_ID) -> None:

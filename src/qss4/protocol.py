@@ -12,9 +12,13 @@ their own bits. Two operating modes exist:
 
 All inter-party data flows through the classical channel as typed
 messages, so a session transcript can be audited and replayed. Each party
-sends one ``BasisAnnouncement``, its basis labels at exactly the rounds it
-detected, so that announcement is also its detection announcement. With
-equal seeds the full transcript is byte-identical run to run.
+sends one ``BasisAnnouncement``: a bitmap of the records it detected and
+its basis labels there, so that announcement is also its detection
+announcement. The dealer's ``SiftDecision`` is a key bitmap and a Bell
+bitmap over the records, and a ``SampleRequest`` a bitmap over the key.
+Every bitmap goes through ``channel.encode_mask``, so no position list is
+built on this path. With equal seeds the full transcript is byte-identical
+run to run.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .channel import (
     PARTIES,
     Channel,
     ProtocolMessage,
+    WireError,
+    encode_mask,
+    payload_masks,
 )
 from .quantum import (
     ALL_COMBOS,
@@ -241,11 +248,12 @@ def sift(
 
     ``labels`` is the (4, n) table of the four basis announcements, -1
     where a party announced nothing. A party announces a basis exactly
-    for the rounds it detected, so a round with all four labels >= 0 is
-    one that everyone detected. In Bell mode, such rounds falling on
-    Bob's override cycle are routed to the Bell pool instead of the key
-    pool. Returns (key positions, Bell positions) as strictly increasing
-    int64 arrays of record positions.
+    for the rounds its ``detected`` bitmap marks, so a round with all four
+    labels >= 0 is one that everyone detected. In Bell mode, such rounds
+    falling on Bob's override cycle are routed to the Bell pool instead of
+    the key pool. Returns (key positions, Bell positions) as strictly
+    increasing int64 arrays of record positions; the dealer's
+    ``SiftDecision`` sends them as two bitmaps over the n records.
     """
     idx = np.flatnonzero((labels >= 0).all(axis=0))
     if mode is Mode.BELL:
@@ -272,9 +280,10 @@ def _reveal(
     """Have every non-dealer reveal its ``bits`` to the dealer.
 
     ``bits`` maps each party to its bits at the positions the dealer
-    already named (a ``SampleRequest``, or ``SiftDecision.bell_indices``),
-    in that order, so a reveal carries the bits alone. Returns the round
-    parities: the dealer's bits XOR the three revealed rows.
+    already named (a ``SampleRequest``, or the ``SiftDecision``'s Bell
+    bitmap), in increasing order, so a reveal carries the bits alone.
+    Returns the round parities: the dealer's bits XOR the three revealed
+    rows.
     """
     parity = bits[dealer].astype(np.uint8)
     for party in PARTIES:
@@ -317,7 +326,7 @@ def estimate_qber(
     positions = np.sort(rng.choice(n, size=k, replace=False))
     channel.broadcast(
         ProtocolMessage(
-            MSG_SAMPLE_REQUEST, sender=dealer, payload={"positions": positions.tolist()}
+            MSG_SAMPLE_REQUEST, sender=dealer, payload={"n": n, "sample": _mask_of(positions, n)}
         )
     )
     sample = {p: arr[positions] for p, arr in sifted.bits.items()}
@@ -442,14 +451,25 @@ class SessionResult:
         return self.counts.key_pool * 3600.0 / seconds
 
 
+def _mask_of(positions: np.ndarray, n: int) -> str:
+    """``positions`` among n entries as a wire bitmap."""
+    mask = np.zeros(n, dtype=bool)
+    mask[positions] = True
+    return encode_mask(mask)
+
+
 def _announce(
-    channel: Channel, party: str, dealer: str, indices: list[int], labels: np.ndarray
+    channel: Channel, party: str, dealer: str, n: int, detected: str, labels: np.ndarray
 ) -> None:
-    """Send ``party``'s basis ``labels`` at its detected ``indices``."""
+    """Send ``party``'s ``detected`` bitmap over n records and its ``labels`` there.
+
+    ``detected`` is already wire text; ``labels`` holds one 0/1 label per
+    detected record and goes out as a bitmap too.
+    """
     msg = ProtocolMessage(
         MSG_BASIS,
         sender=party,
-        payload={"indices": indices, "labels": labels.tolist()},
+        payload={"n": n, "detected": detected, "labels": encode_mask(labels)},
     )
     if party == dealer:
         channel.broadcast(msg)
@@ -470,9 +490,17 @@ def _label_table(labels: np.ndarray, detected_idx: np.ndarray, rows) -> np.ndarr
 
 
 def _dealer_table(table: np.ndarray, messages) -> np.ndarray:
-    """Enter each received basis announcement into the dealer's ``table``."""
+    """Enter each received basis announcement into the dealer's ``table``.
+
+    Raises WireError for any message that is not an announcement over the
+    table's records with one label per detected record.
+    """
     for msg in messages:
-        table[PARTIES.index(msg.sender), msg.payload["indices"]] = msg.payload["labels"]
+        masks = payload_masks(msg.msg_type, msg.payload)
+        if msg.msg_type != MSG_BASIS or msg.payload["n"] != table.shape[1]:
+            raise WireError(f"{msg.msg_type} from {msg.sender} is not an announcement "
+                            f"over {table.shape[1]} records")
+        table[PARTIES.index(msg.sender), np.flatnonzero(masks["detected"])] = masks["labels"]
     return table
 
 
@@ -607,17 +635,12 @@ def _protocol_over_records(
     n = len(records)
 
     channel = Channel()
-    # all four parties share the detected column, so they share one index list:
-    # one list per payload would give each announcement its own int objects
-    # (+88 MB max RSS at 1e5 target bits); the index array is dropped before
-    # the messages are built and encoded
-    detected_idx = np.nonzero(detected_arr)[0]
+    detected_idx = np.flatnonzero(detected_arr)
     table_labels = _label_table(records.labels, detected_idx, [PARTIES.index(dealer)])
-    detected_labels = records.labels[:, detected_idx]
-    indices = detected_idx.tolist()
-    del detected_idx
+    # the four parties share the detected column, so its bitmap is encoded once
+    detected = encode_mask(detected_arr)
     for row, party in enumerate(PARTIES):
-        _announce(channel, party, dealer, indices, detected_labels[row])
+        _announce(channel, party, dealer, n, detected, records.labels[row, detected_idx])
 
     table_labels = _dealer_table(table_labels, channel.drain(dealer))
     key_idx, bell_idx = sift(mode, table_labels, records.rounds)
@@ -627,7 +650,7 @@ def _protocol_over_records(
         ProtocolMessage(
             MSG_SIFT,
             sender=dealer,
-            payload={"key_indices": key_idx.tolist(), "bell_indices": bell_idx.tolist()},
+            payload={"n": n, "key": _mask_of(key_idx, n), "bell": _mask_of(bell_idx, n)},
         )
     )
 

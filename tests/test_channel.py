@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -23,16 +24,33 @@ from qss4.channel import (
     TranscriptAuditError,
     WireError,
     audit_outcome_hygiene,
+    decode_mask,
     decode_wire,
+    encode_mask,
     encode_wire,
     iter_frames,
+    payload_masks,
 )
+from qss4.protocol import _dealer_table
+
+
+def _mask(n, positions=()):
+    mask = np.zeros(n, dtype=np.uint8)
+    mask[list(positions)] = 1
+    return encode_mask(mask)
+
+
+def _tag(sender, i):
+    """A sample request over ``i`` key bits, so ``payload["n"]`` tags it."""
+    return ProtocolMessage(MSG_SAMPLE_REQUEST, sender, {"n": i, "sample": _mask(i)})
+
 
 REPRESENTATIVE = [
-    ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [0, 3, 7]}),
-    ProtocolMessage(MSG_BASIS, "Bob", {"indices": [0, 3], "labels": [1, 0]}),
-    ProtocolMessage(MSG_SIFT, "Alice", {"key_indices": [3], "bell_indices": []}),
-    ProtocolMessage(MSG_SAMPLE_REQUEST, "Alice", {"positions": [1, 2]}),
+    ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"n": 8, "sample": _mask(8, [0, 3, 7])}),
+    ProtocolMessage(MSG_BASIS, "Bob", {"n": 5, "detected": _mask(5, [0, 3]),
+                                       "labels": _mask(2, [0])}),
+    ProtocolMessage(MSG_SIFT, "Alice", {"n": 5, "key": _mask(5, [3]), "bell": _mask(5)}),
+    ProtocolMessage(MSG_SAMPLE_REQUEST, "Alice", {"n": 3, "sample": _mask(3, [1, 2])}),
     ProtocolMessage(MSG_SAMPLE_REVEAL, "Claire", {"bits": [0, 1]}),
     ProtocolMessage(MSG_BELL_REVEAL, "David", {"bits": [1]}),
     ProtocolMessage(
@@ -74,6 +92,14 @@ RETIRED_FRAME = _raw_frame(
     {"type": RETIRED_TYPE, "sender": "Bob", "payload": {"indices": [0, 3]}}
 )
 
+#: Payloads of the list-based wire format, where every position set was a
+#: JSON list, and the position key of each.
+OLD_PAYLOADS = {
+    MSG_BASIS: ({"indices": [0, 3], "labels": [1, 0]}, "indices"),
+    MSG_SIFT: ({"key_indices": [3], "bell_indices": []}, "key_indices"),
+    MSG_SAMPLE_REQUEST: ({"positions": [1, 2]}, "positions"),
+}
+
 
 def test_wire_unknown_type_is_named():
     frame = _raw_frame({"type": "Gossip", "sender": "Alice", "payload": {}})
@@ -90,9 +116,14 @@ def test_message_schema_enforced():
         ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"bogus": 1})
     # announcements can never carry outcome bits
     with pytest.raises(WireError, match="outcome material"):
-        ProtocolMessage(MSG_BASIS, "Bob", {"indices": [0], "labels": [1], "bits": [1]})
+        ProtocolMessage(MSG_BASIS, "Bob", {**REPRESENTATIVE[1].payload, "bits": [1]})
     with pytest.raises(WireError, match="unknown sender"):
-        ProtocolMessage(MSG_SAMPLE_REQUEST, "Eve", {"positions": []})
+        ProtocolMessage(MSG_SAMPLE_REQUEST, "Eve", {"n": 0, "sample": _mask(0)})
+    # a frame of the list-based format fails at the boundary, with no version check
+    for msg_type, (payload, key) in OLD_PAYLOADS.items():
+        old = _raw_frame({"type": msg_type, "sender": "Alice", "payload": payload})
+        with pytest.raises(WireError, match=rf"unexpected keys \[.*'{key}'"):
+            decode_wire(old)
     # a reveal answers in the order the dealer named the positions, so it repeats none
     for reveal in (MSG_SAMPLE_REVEAL, MSG_BELL_REVEAL):
         old = _raw_frame({"type": reveal, "sender": "Bob", "payload": {"positions": [1], "bits": [0]}})
@@ -101,32 +132,33 @@ def test_message_schema_enforced():
 
 
 def test_payload_jsonified():
-    msg = ProtocolMessage(
-        MSG_SAMPLE_REQUEST, "Bob", {"positions": [np.int64(4), np.int64(9)]}
-    )
-    assert msg.payload == {"positions": [4, 9]}
+    msg = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"n": np.int64(9), "sample": _mask(9, [4])})
+    assert msg.payload == {"n": 9, "sample": _mask(9, [4])}
     assert decode_wire(encode_wire(msg)) == msg
 
 
 def test_payload_copied_and_test_encoded():
-    indices = [1, 2]
-    msg = ProtocolMessage(MSG_BASIS, "Bob", {"indices": indices, "labels": (0, 1)})
+    bits = [1, 2]
+    msg = ProtocolMessage(MSG_SAMPLE_REVEAL, "Bob", {"bits": bits})
     frame = encode_wire(msg)
-    indices.append(3)
-    assert msg.payload == {"indices": [1, 2], "labels": [0, 1]}
+    bits.append(3)
+    assert msg.payload == {"bits": [1, 2]}
     assert encode_wire(msg) == frame
     for bad in (object(), np.array([1, 2])):
         with pytest.raises(TypeError, match="not wire-encodable"):
-            ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": bad})
+            ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"n": 2, "sample": bad})
+
+
+@st.composite
+def _announcements(draw):
+    detected = np.array(draw(st.lists(st.integers(0, 1), max_size=40)), dtype=np.uint8)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=int(detected.sum()),
+                                    max_size=int(detected.sum()))), dtype=np.uint8)
+    return {"n": len(detected), "detected": encode_mask(detected), "labels": encode_mask(labels)}
 
 
 _payload_strategies = {
-    MSG_BASIS: st.fixed_dictionaries(
-        {
-            "indices": st.lists(st.integers(0, 10_000), max_size=20),
-            "labels": st.lists(st.integers(0, 1), max_size=20),
-        }
-    ),
+    MSG_BASIS: _announcements(),
     MSG_SAMPLE_REVEAL: st.fixed_dictionaries({"bits": st.lists(st.integers(0, 1), max_size=20)}),
     MSG_PARITY: st.fixed_dictionaries(
         {
@@ -165,8 +197,7 @@ def test_wire_roundtrip_property(msg):
 
 def test_channel_fifo_and_roundtrip():
     ch = Channel()
-    first = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [1]})
-    second = ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [2]})
+    first, second = _tag("Bob", 1), _tag("Bob", 2)
     ch.send(first, to="Alice")
     ch.send(second, to="Alice")
     assert ch.drain("Alice") == [first, second]
@@ -175,7 +206,7 @@ def test_channel_fifo_and_roundtrip():
 
 def test_channel_broadcast():
     ch = Channel()
-    msg = ProtocolMessage(MSG_SIFT, "Alice", {"key_indices": [], "bell_indices": []})
+    msg = REPRESENTATIVE[2]
     ch.broadcast(msg)
     for party in ("Bob", "Claire", "David"):
         assert ch.drain(party) == [msg]
@@ -186,11 +217,11 @@ def test_channel_broadcast():
 def test_channel_per_sender_order_with_interleaving():
     ch = Channel()
     for i in range(3):
-        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Bob", {"positions": [i]}))
-        ch.broadcast(ProtocolMessage(MSG_SAMPLE_REQUEST, "Claire", {"positions": [i]}))
+        ch.broadcast(_tag("Bob", i))
+        ch.broadcast(_tag("Claire", i))
     inbox = ch.drain("David")
-    bob_tags = [m.payload["positions"][0] for m in inbox if m.sender == "Bob"]
-    claire_tags = [m.payload["positions"][0] for m in inbox if m.sender == "Claire"]
+    bob_tags = [m.payload["n"] for m in inbox if m.sender == "Bob"]
+    claire_tags = [m.payload["n"] for m in inbox if m.sender == "Claire"]
     assert bob_tags == [0, 1, 2]
     assert claire_tags == [0, 1, 2]
 
@@ -204,10 +235,7 @@ def test_channel_concurrent_senders():
 
     def produce(sender: str) -> None:
         to = PARTIES[(PARTIES.index(sender) + 1) % len(PARTIES)]
-        msgs = [
-            ProtocolMessage(MSG_SAMPLE_REQUEST, sender, {"positions": [i]})
-            for i in range(per_thread)
-        ]
+        msgs = [_tag(sender, i) for i in range(per_thread)]
         start.wait(timeout=30)
         for i, msg in enumerate(msgs):
             if i % 2:
@@ -244,7 +272,7 @@ def test_channel_concurrent_senders():
         assert delivered == sorted(delivered)
         previous = PARTIES[PARTIES.index(party) - 1]
         for sender in PARTIES:
-            tags = [m.payload["positions"][0] for m in inbox if m.sender == sender]
+            tags = [m.payload["n"] for m in inbox if m.sender == sender]
             if sender == party:
                 assert tags == []
             elif sender == previous:
@@ -275,10 +303,11 @@ def test_audit_accepts_clean_transcript():
 
 def test_audit_rejects_outcome_bits_in_announcement():
     basis = {"type": MSG_BASIS, "sender": "Bob"}
-    frame = _raw_frame({**basis, "payload": {"indices": [0], "labels": [1], "bits": [1]}})
+    announced = REPRESENTATIVE[1].payload
+    frame = _raw_frame({**basis, "payload": {**announced, "bits": [1]}})
     with pytest.raises(TranscriptAuditError, match="outcome material"):
         audit_outcome_hygiene(frame)
-    frame = _raw_frame({**basis, "payload": {"indices": [0], "labels": [1], "note": "x"}})
+    frame = _raw_frame({**basis, "payload": {**announced, "note": "x"}})
     with pytest.raises(TranscriptAuditError, match=f"message 1: {MSG_BASIS} carries unexpected keys"):
         audit_outcome_hygiene(encode_wire(REPRESENTATIVE[0]) + frame)
 
@@ -292,10 +321,97 @@ def test_audit_rejects_unknown_type():
 
 def test_frame_with_round_key_is_rejected():
     old = _raw_frame({"type": MSG_SAMPLE_REQUEST, "sender": "Bob", "round": None,
-                      "payload": {"positions": [1]}})
+                      "payload": REPRESENTATIVE[0].payload})
     with pytest.raises(WireError, match="type/sender/payload"):
         decode_wire(old)
     with pytest.raises(WireError, match="type/sender/payload"):
         decode_wire(old, validate=False)
     with pytest.raises(WireError, match="type/sender/payload"):
         audit_outcome_hygiene(encode_wire(REPRESENTATIVE[0]) + old)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 5000),
+    density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_roundtrip(n, density, seed):
+    rng = np.random.default_rng(seed)
+    detected = (rng.random(n) < density).astype(np.uint8)
+    labels = rng.integers(0, 2, int(detected.sum()), dtype=np.uint8)
+    assert np.array_equal(decode_mask(encode_mask(detected), n), detected)
+    payload = {"n": n, "detected": encode_mask(detected), "labels": encode_mask(labels)}
+    msg = decode_wire(encode_wire(ProtocolMessage(MSG_BASIS, "Bob", payload)))
+    masks = payload_masks(MSG_BASIS, msg.payload)
+    assert np.array_equal(masks["detected"], detected)
+    assert np.array_equal(masks["labels"], labels)
+    table = _dealer_table(np.full((4, n), -1, dtype=np.int8), [msg])
+    assert np.array_equal(table[1][detected == 1], labels)
+    assert (table[1][detected == 0] == -1).all() and (table[[0, 2, 3]] == -1).all()
+
+
+def _bad_announcements():
+    """Announcements over 13 records that must never decode: case -> (payload, error)."""
+    n = 13
+    detected = np.zeros(n, dtype=np.uint8)
+    detected[[0, 2, 5, 12]] = 1
+    good = {"n": n, "detected": encode_mask(detected), "labels": encode_mask([1, 0, 1, 1])}
+    text = good["detected"]
+    padded = np.packbits(detected)
+    padded[-1] |= 1
+    too_long = "13 bits take 4 hex characters, got 6"
+    return {
+        "wrong n": ({**good, "n": n + 8}, "21 bits take 6 hex characters, got 4"),
+        "n not an int": ({**good, "n": 13.0}, "non-negative int"),
+        "non-zero padding bits": (
+            {**good, "detected": zlib.compress(padded.tobytes(), 1).hex()}, "padding bits"),
+        "labels longer than popcount": (
+            {**good, "labels": encode_mask(np.ones(12, np.uint8))}, "4 bits take 2 hex characters"),
+        "labels shorter than popcount": (
+            {**good, "labels": encode_mask(np.zeros(0, np.uint8))}, "4 bits take 2 hex characters"),
+        "corrupt zlib checksum": (
+            {**good, "detected": text[:-2] + f"{int(text[-2:], 16) ^ 1:02x}"},
+            "incorrect data check"),
+        "truncated zlib stream": ({**good, "detected": text[:-2]}, "complete zlib stream"),
+        "trailing bytes": ({**good, "detected": text + "00"}, "complete zlib stream"),
+        "not hex": ({**good, "detected": "zz"}, "non-hexadecimal"),
+        "inflates past ceil(n/8)": (
+            {**good, "detected": zlib.compress(bytes(1 << 20), 1).hex()}, too_long),
+        "missing key": ({"n": n, "detected": text}, r"lacks keys \['labels'\]"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_announcements()))
+def test_bad_announcement_is_wire_error(case):
+    payload, error = _bad_announcements()[case]
+    with pytest.raises(WireError, match=error):
+        decode_wire(_raw_frame({"type": MSG_BASIS, "sender": "Bob", "payload": payload}))
+    table = np.full((4, 13), -1, dtype=np.int8)
+    with pytest.raises(WireError, match=error):
+        _dealer_table(table, [ProtocolMessage(MSG_BASIS, "Bob", payload)])
+    assert (table == -1).all()
+
+
+def test_dealer_table_checks_records_and_type():
+    n = 13
+    good = ProtocolMessage(MSG_BASIS, "Bob", {"n": n, "detected": _mask(n, [0, 2, 5, 12]),
+                                              "labels": _mask(4, [0, 2, 3])})
+    table = _dealer_table(np.full((4, n), -1, dtype=np.int8), [good])
+    assert table[1].tolist() == [1, -1, 0, -1, -1, 1, -1, -1, -1, -1, -1, -1, 1]
+    # an announcement that decodes but covers other records than the table's
+    with pytest.raises(WireError, match="over 14 records"):
+        _dealer_table(np.full((4, n + 1), -1, dtype=np.int8), [good])
+    with pytest.raises(WireError, match="not an announcement"):
+        _dealer_table(np.full((4, 5), -1, dtype=np.int8), [REPRESENTATIVE[2]])
+
+
+@pytest.mark.parametrize("msg", [REPRESENTATIVE[0], REPRESENTATIVE[2]])
+def test_sift_and_sample_bitmaps_checked(msg):
+    body = {"type": msg.msg_type, "sender": msg.sender}
+    for key in msg.payload:
+        lacking = {k: v for k, v in msg.payload.items() if k != key}
+        with pytest.raises(WireError, match=f"lacks keys \\['{key}'\\]"):
+            decode_wire(_raw_frame({**body, "payload": lacking}))
+    with pytest.raises(WireError, match=f"bad bitmap of {msg.payload['n'] + 8} entries"):
+        decode_wire(_raw_frame({**body, "payload": {**msg.payload, "n": msg.payload["n"] + 8}}))

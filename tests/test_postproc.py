@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qss4 import postproc
 from qss4.channel import MSG_HASH_SEED, MSG_PARITY, Channel, audit_outcome_hygiene
 from qss4.postproc import (
     FORMULA_ID,
@@ -117,12 +120,11 @@ def test_reconcile_leak_matches_transcript():
     q=st.just(0.0) | st.floats(0.0, 0.08),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=2, q=0.08, seed=43)  # both bits of a 2-bit key wrong
 def test_reconcile_transcript_matches_dealer_key(n, q, seed):
     rng = np.random.default_rng(seed)
     dealer = rng.integers(0, 2, n, dtype=np.uint8)
     access = dealer ^ (rng.random(n) < q).astype(np.uint8)
-    # two flipped bits of a two-bit key share every block of every pass
-    assume(n != 2 or np.count_nonzero(dealer ^ access) < 2)
     channel = Channel()
     result = reconcile(dealer, access, channel=channel, qber_hint=q, rng=rng)
 
@@ -177,6 +179,26 @@ def test_reconcile_nonconvergence_raises():
     with pytest.raises(ReconciliationError):
         # the block-size hint is badly wrong and the budget tiny
         reconcile(dealer, access, config=config, qber_hint=0.001, rng=rng)
+
+
+@pytest.mark.parametrize("n, seed", [(3000, 3), (200, 4), (40, 5)])
+def test_forged_search_reply_fails_fast(monkeypatch, n, seed):
+    """A dealer that answers every range one position short ends in an error."""
+    honest = postproc._Cascade._dealer_parities
+
+    def short(self, ranges):
+        ranges = ranges.copy()
+        ranges[:, 2] -= 1
+        return honest(self, ranges)
+
+    monkeypatch.setattr(postproc._Cascade, "_dealer_parities", short)
+    rng = np.random.default_rng(seed)
+    dealer = rng.integers(0, 2, n, dtype=np.uint8)
+    access = dealer ^ (rng.random(n) < 0.05).astype(np.uint8)
+    start = time.perf_counter()
+    with pytest.raises(ReconciliationError, match="corrected more than"):
+        reconcile(dealer, access, qber_hint=0.05, rng=rng)
+    assert time.perf_counter() - start < 10
 
 
 def test_reconcile_validation():
@@ -322,6 +344,9 @@ def test_hex_roundtrip():
     assert bits_to_hex(np.zeros(0, np.uint8)) == ""
     with pytest.raises(ValueError):
         hex_to_bits("ff", 20)
+    # six characters, but only four hex digits
+    with pytest.raises(ValueError, match="24 bits take 6 hex digits, got 4"):
+        hex_to_bits("ff  ff", 24)
 
 
 def test_key_file_roundtrip(tmp_path):

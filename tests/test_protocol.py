@@ -11,11 +11,13 @@ from qss4.adversary import AttackConfig
 from qss4.channel import (
     MSG_ABORT,
     MSG_BASIS,
+    MSG_SAMPLE_REQUEST,
     MSG_SIFT,
     PARTIES,
     Channel,
     audit_outcome_hygiene,
     encode_wire,
+    payload_masks,
 )
 from qss4.protocol import (
     BELL_PHASES,
@@ -170,7 +172,9 @@ def test_estimate_qber_sample_accounting():
     assert len(remaining) == 1800
     assert report.estimate == 0.0
     assert report.verdict == "proceed"
-    revealed = {m.payload["positions"][i] for m in channel.transcript if m.msg_type == "SampleRequest" for i in range(len(m.payload["positions"]))}
+    (request,) = [m for m in channel.transcript if m.msg_type == MSG_SAMPLE_REQUEST]
+    assert request.payload["n"] == 2000
+    revealed = set(np.flatnonzero(payload_masks(MSG_SAMPLE_REQUEST, request.payload)["sample"]))
     assert len(revealed) == 200
     assert revealed.isdisjoint(set(remaining.indices))
 
@@ -304,7 +308,12 @@ def test_bell_session_routes_pools():
     # override rounds make up one fifth of all windows
     assert result.counts.bell_pool > 0
     decision = next(m for m in result.channel.transcript if m.msg_type == MSG_SIFT)
-    assert (result.records.rounds[decision.payload["bell_indices"]] % 5 == 0).all()
+    masks = payload_masks(MSG_SIFT, decision.payload)
+    assert decision.payload["n"] == result.counts.records
+    assert np.count_nonzero(masks["bell"]) == result.counts.bell_pool
+    assert np.count_nonzero(masks["key"]) == result.counts.key_pool
+    assert not (masks["key"] & masks["bell"]).any()
+    assert (result.records.rounds[masks["bell"] == 1] % 5 == 0).all()
     assert not result.aborted
     key = result.sifted_key
     assert np.array_equal(key.bits["Alice"], key.access_xor("Alice"))
@@ -320,12 +329,24 @@ def test_one_basis_announcement_per_party(kwargs):
     announced = transcript[: next(i for i, m in enumerate(transcript) if m.msg_type == MSG_SIFT)]
     assert [(m.msg_type, m.sender) for m in announced] == [(MSG_BASIS, p) for p in PARTIES]
     # a basis announcement doubles as the detection announcement
-    detected = np.flatnonzero(result.records.detected)
+    detected = result.records.detected
     for row, msg in enumerate(announced):
-        assert msg.payload == {
-            "indices": detected.tolist(),
-            "labels": result.records.labels[row, detected].tolist(),
-        }
+        assert msg.payload["n"] == result.counts.records
+        masks = payload_masks(MSG_BASIS, msg.payload)
+        assert np.array_equal(masks["detected"], detected)
+        assert np.array_equal(masks["labels"], result.records.labels[row, detected])
+
+
+@pytest.mark.parametrize("kwargs, bound", [
+    # 1.65 B/record with bitmaps; the list-based format took 29.0
+    (dict(visibility=0.95, target_sifted_bits=2000, source_config=FAST_SOURCE), 4.0),
+    # 0.190 B/record with bitmaps; the list-based format took 16,288 B = 0.2715
+    (dict(visibility=1.0, n_windows=60_000, source_config=SourceConfig.lab_preset()), 0.2715),
+])
+def test_wire_bytes_per_record(kwargs, bound):
+    result = run_protocol(mode=Mode.QBER, seed=31, **kwargs)
+    wire = sum(len(encode_wire(m)) for m in result.channel.transcript)
+    assert wire / result.counts.records <= bound
 
 
 def test_session_transcripts_reproducible(tmp_path):
