@@ -43,7 +43,7 @@ from .protocol import (
     check_dealer,
     format_key_transcript,
     format_session_report,
-    party_schedules,
+    implied_qber,
     run_protocol,
 )
 from .quantum import (
@@ -201,6 +201,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(cfg, name)
         if value is not None and value < 0:
             raise ConfigError(f"{name} must be >= 0, got {value}")
+    if cfg.windows is not None and cfg.target_bits is not None:
+        raise ConfigError("give only one of windows / target_bits")
     # build each config object once to validate it: main maps only ConfigError
     # to exit 2, so a ValueError raised later is reported as the fault it is
     try:
@@ -419,15 +421,10 @@ def _vernam_demo(result, pipeline: PipelineResult, cfg: ExperimentConfig, out: P
 def cmd_qss_run(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     mode = Mode(cfg.mode)
-    if cfg.windows is not None and cfg.target_bits is not None:
-        raise ConfigError("give only one of windows / target_bits")
-    windows = cfg.windows
-    target = cfg.target_bits
-    if windows is None and target is None:
-        target = 2000
-    result = _run_protocol(cfg, mode, windows, target)
+    target = 2000 if cfg.windows is None and cfg.target_bits is None else cfg.target_bits
+    result = _run_protocol(cfg, mode, cfg.windows, target)
     if cfg.dump_records:
-        write_records(result.records, cfg.dump_records, party_schedules(mode))
+        write_records(result.records, cfg.dump_records)
 
     report = format_session_report(result)
     if result.aborted:
@@ -438,18 +435,10 @@ def cmd_qss_run(cfg: ExperimentConfig) -> int:
         return EXIT_ABORT
 
     key = result.sifted_key
-    if mode is Mode.QBER:
-        qber_estimate = result.check_report.estimate
-    else:
-        # translate the Bell estimate into an effective error rate through
-        # the visibility it implies: S scales linearly with visibility
-        s_max = bell_S(BellSetting.maximal_violation(), correlation_analytic)
-        implied_v = min(max(result.check_report.estimate / s_max, 0.0), 1.0)
-        qber_estimate = (1.0 - implied_v) / 2.0
     pipeline = run_key_pipeline(
         key.bits[result.dealer],
         key.access_xor(result.dealer),
-        qber_estimate=qber_estimate,
+        qber_estimate=implied_qber(result.check_report),
         channel=result.channel,
         rng=SessionStreams.from_seed(cfg.seed).postproc,
         dealer=result.dealer,

@@ -47,9 +47,12 @@ from .channel import (
 )
 from .quantum import (
     ALL_COMBOS,
+    BellSetting,
     NoiseModel,
+    bell_S,
     bell_S_from_table,
     bell_S_gradient,
+    correlation_analytic,
     make_psi4_minus,
     outcome_distribution,
 )
@@ -412,6 +415,20 @@ def bell_check(
         threshold=threshold,
         verdict=verdict,
     )
+
+
+def implied_qber(report: CheckReport) -> float:
+    """The error rate a check implies for the key: its QBER, or the one S implies.
+
+    S is translated under the white-noise model of :class:`NoiseModel`,
+    where S scales with the visibility: V = S / S_max clipped to [0, 1],
+    and q = (1 - V) / 2. Noise of another kind breaks that scaling.
+    """
+    if report.kind == "qber":
+        return report.estimate
+    s_max = bell_S(BellSetting.maximal_violation(), correlation_analytic)
+    implied_v = min(max(report.estimate / s_max, 0.0), 1.0)
+    return (1.0 - implied_v) / 2.0
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,19 @@ columns (rounds, labels, outcomes), never as per-window objects. A
 record's analyzer phases are not stored: they follow from the schedules,
 the round index and the basis labels (:func:`_phase_codes`).
 
-Record files are line oriented, one round per line, comma separated:
-
-    round_index,label_a,label_b,label_c,label_d,
-    phi_a,phi_b,phi_c,phi_d,detected,bits
-
-with phases derived from the schedules and printed via repr (exact float
-round trip), labels and ``detected`` either 0 or 1, and ``bits`` exactly
-four characters of 0/1 on a detected round and ``-`` on an undetected
-one. :func:`read_records` rejects any other field; it checks that every
-phase field parses as a float but does not keep the phases.
+Record files hold the header line :data:`RECORD_HEADER`, then one line
+``round_index,labels,bits`` per record: labels and bits are four 0/1
+digits, party a first, and an undetected record's bits read ``-1``
+(``17,0110,1001``; ``18,1100,-1``). :func:`write_records` is the only
+statement of this grammar: :func:`read_records` parses the fields with
+numpy, then rejects the file unless it is, byte for byte, what the
+writer prints for the records it parsed.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -333,80 +332,75 @@ def run_session(
     return SessionData(round_indices[rows], labels[:, rows], outcomes)
 
 
-RECORD_HEADER = (
-    "round_index,label_a,label_b,label_c,label_d,"
-    "phi_a,phi_b,phi_c,phi_d,detected,bits"
-)
+RECORD_HEADER = "qss4 records v2: round_index,labels,bits"
 
-#: Bits field of each pattern index, party a first; ``-`` when undetected.
+#: The four 0/1 digits of each pattern index, party a first.
 _BITS_TEXT = [format(i, "04b") for i in range(16)]
-_OUTCOME_OF_BITS = {text: i for i, text in enumerate(_BITS_TEXT)}
-#: The four label fields of a line, as a 4-bit code, and the labels of each code.
-_LABEL_CODE = {tuple(text): i for i, text in enumerate(_BITS_TEXT)}
+#: Line tail of each (label code, outcome + 1); an undetected record's bits read ``-1``.
+_LINE_TAIL = [f",{labels},{bits}\n" for labels in _BITS_TEXT for bits in ["-1"] + _BITS_TEXT]
+#: Pattern index of a 0/1 field parsed as a decimal number plus one ("0101" -> 102 -> 5);
+#: index 0 is the undetected ``-1``. A non-canonical field maps to 0 and fails the text check.
+_CODE_OF_FIELD = np.zeros(1113, dtype=np.int8)
+_CODE_OF_FIELD[[0] + [int(text) + 1 for text in _BITS_TEXT]] = np.arange(-1, 16)
 _LABELS_OF_CODE = ((np.arange(16) >> _BIT_SHIFTS) & 1).astype(np.uint8)
+#: Records rendered per write, and per comparison when reading.
+_CHUNK = 1 << 16
 
 
-def write_records(records: SessionData, path, schedules: Sequence[PartySchedule]) -> None:
-    """Write a record file, deriving each record's phases from ``schedules``."""
-    codes = _phase_codes(schedules, records.rounds, records.labels)
-    # a phase code fixes the labels and phases of a record: one text per code used
-    code_text = [""] * 256
-    for code in np.flatnonzero(np.bincount(codes, minlength=256)).tolist():
-        code_text[code] = ",".join([str(code >> (2 * i) & 1) for i in range(4)]
-                                   + [repr(p) for p in _phase_tuple(schedules, code)])
-    outcome_text = [f"1,{bits}" for bits in _BITS_TEXT] + ["0,-"]  # -1 picks the last
-    with open(path, "w", encoding="utf-8") as fh:
+def _record_text(records: SessionData, lo: int) -> str:
+    """The lines of records ``lo`` to ``lo + _CHUNK``: the one grammar of the file."""
+    rows = slice(lo, lo + _CHUNK)
+    codes = (records.labels[:, rows].astype(np.int64) << _BIT_SHIFTS).sum(axis=0)
+    tails = (codes * 17 + records.outcomes[rows] + 1).tolist()
+    return "".join([f"{r}{_LINE_TAIL[t]}" for r, t in zip(records.rounds[rows].tolist(), tails)])
+
+
+def write_records(records: SessionData, path) -> None:
+    """Write the header line, then one ``round_index,labels,bits`` line per record."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(RECORD_HEADER + "\n")
-        fh.writelines(
-            f"{r},{code_text[c]},{outcome_text[o]}\n"
-            for r, c, o in zip(records.rounds.tolist(), codes.tolist(), records.outcomes.tolist())
-        )
+        for lo in range(0, len(records), _CHUNK):
+            fh.write(_record_text(records, lo))
 
 
 def read_records(path) -> SessionData:
-    """Parse a record file, rejecting any field the writer cannot produce.
+    """Parse a record file in one numpy pass, accepting only the writer's own text.
 
-    Every distinct phase text is checked once to parse as a float; the
-    phases are not kept, since they follow from the schedules. Round
-    indices start at 0 or above and never decrease (count-all mode
-    repeats a window's index).
+    The fields are read as integers; the file is then compared, chunk by
+    chunk, with what :func:`write_records` prints for the parsed records,
+    and any byte that differs rejects it. Round indices start at 0 or
+    above and never decrease (count-all mode repeats a window's index).
     """
-    rounds, labels, outcomes = [], [], []
-    phase_texts: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != RECORD_HEADER:
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header != (RECORD_HEADER + "\n").encode():
             raise ValueError(f"unexpected record file header: {header!r}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 11:
-                raise ValueError(f"bad record line: {line!r}")
-            detected, bits = parts[9], parts[10]
-            if detected == "1" and bits in _OUTCOME_OF_BITS:
-                outcomes.append(_OUTCOME_OF_BITS[bits])
-            elif detected == "0" and bits == "-":
-                outcomes.append(-1)
-            else:
-                raise ValueError(f"bad detected/bits fields {detected!r},{bits!r}: {line!r}")
-            label_code = _LABEL_CODE.get(tuple(parts[1:5]))
-            if label_code is None:
-                raise ValueError(f"basis labels must be 0 or 1: {line!r}")
-            rounds.append(int(parts[0]))
-            labels.append(label_code)
-            phase_texts.update(parts[5:9])
-    for text in phase_texts:
-        float(text)  # a phase field must parse as a float
-    rounds = np.array(rounds, dtype=np.int64)
-    # the first step is taken from 0, so a negative first index fails as well
-    bad = np.flatnonzero(np.diff(rounds, prepend=0) < 0)
-    if bad.size:
-        raise ValueError(f"round index {rounds[bad[0]]} on record {bad[0]} is negative "
-                         "or below the previous record's")
-    return SessionData(
-        rounds,
-        np.take(_LABELS_OF_CODE, np.array(labels, dtype=np.int64), axis=1),
-        np.array(outcomes, dtype=np.int8),
-    )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(fh, dtype=[("round", np.int64), ("labels", np.int16),
+                                              ("bits", np.int16)],
+                                   delimiter=",", comments=None, usecols=(0, 1, 2), ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"bad record line in {path}: {exc}") from None
+        rounds = table["round"].copy()
+        bad = np.flatnonzero(np.append(rounds[:1] < 0, rounds[1:] < rounds[:-1]))
+        if bad.size:
+            raise ValueError(f"round index {rounds[bad[0]]} on record {bad[0]} is "
+                             "negative or below the previous record's")
+        records = SessionData(
+            rounds,
+            np.take(_LABELS_OF_CODE, _CODE_OF_FIELD[np.clip(table["labels"], 0, 1111) + 1], axis=1),
+            _CODE_OF_FIELD[np.clip(table["bits"], -1, 1111) + 1],
+        )
+        fh.seek(len(header))
+        # one more, empty chunk past the last record: the file must end there
+        for lo in (*range(0, len(records), _CHUNK), len(records)):
+            want = _record_text(records, lo).encode()
+            got = fh.read(len(want) or 1)
+            if got != want:
+                at = len(os.path.commonprefix([got, want]))
+                line = 2 + lo + want.count(b"\n", 0, at)
+                text = got[got.rfind(b"\n", 0, at) + 1:].split(b"\n", 1)[0]
+                raise ValueError(f"line {line} of {path} is not the writer's text: {text!r}")
+    return records

@@ -219,6 +219,8 @@ def test_config_errors_exit_code(tmp_path):
     assert main(["qss-run", "--mode", "qber", "--windows", "10", "--target-bits", "10",
                  "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert main(["bell-test", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["bell-test", "--windows", "3000", "--target-bits", "100",
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode = sideways\n")
     assert main(["qss-run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_CONFIG

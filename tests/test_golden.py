@@ -34,7 +34,7 @@ GOLDEN = {
         "ciphertext.hex": "56b4915695bb91bf54bfb8ae71c4415b9454e3c6207338aca370d88b4461eff5",
         "dealer_key.hex": "4da91b0d0f2ac64a259a0201bcc164d91f30a389bb02b17e6efd0dd17c65312f",
         "key_transcript.txt": "d748fa1ab7631263ff4bb5722830f61414f041304473bb3f61ce0612d856ad7c",
-        "records.csv": "89d0cf89617622faa7da317c00e1955676e522b214c363ea57e21a9fe9dd9c1a",
+        "records.csv": "d08cf18f4eff5fa063dc87cf24796eae69ecd39b7db48ac1589149c1f862318d",
         "session_report.txt": "936331b6c641730aab0c33a02de651d15cd0dd602c6fc408c6da49f2021df014",
         "wire_transcript.bin": "7220cce512bed91cfe974f2944e3e725f0788248cd2a190d6b218087be424e84",
     }),
@@ -43,7 +43,7 @@ GOLDEN = {
         "ciphertext.hex": "6da777400f698b930533ab07dfde3794912d9386ef584d9a373381c7d3164c8f",
         "dealer_key.hex": "f42ca283bdc7d81373f887527c0734f35b2a1a2f8d357d9fd007b883faa4b1fe",
         "key_transcript.txt": "70661d3dea08079d45632dc03517223828b7879b5e19b3b5527ef4e4e3132098",
-        "records.csv": "3cb5c3721913a52a639fe86dd7e8965adf0b5e7278e0e50668b0ca673ba96e17",
+        "records.csv": "7dde25d8f50a389a4d98c8f0ed168963d41fd318066b8f6b31358a19d02677c9",
         "session_report.txt": "32c239ea98863f02281e6ef4a306e213da777e3d3f50bee3174c112498c2afb0",
         "wire_transcript.bin": "27d263cde0f8b4f0aca706092a63a0de41d256d712d49391fcb3270049c9f847",
     }),
@@ -52,7 +52,7 @@ GOLDEN = {
         "ciphertext.hex": "dd367c4576823ed3bef50d63b8e2c06d9b3e0f090dd77e57d904057d0f212467",
         "dealer_key.hex": "07a133b4b1fb19cd9bf2587bd7e1a48eaf1905b18e49356857edbe1486355b86",
         "key_transcript.txt": "d6ba2e60097b7e7d70cabab8ef29e05365a094cec64d9419f9acbfebc1f11a61",
-        "records.csv": "6bcd450d7c10ee6d2cc4364d7d7a8bf6dd6b1472f61b321ed194647a2f4d1c3b",
+        "records.csv": "a29a1da564a327556dc04a8af1e614d870dd99417e692e31917bbe031f0677d9",
         "session_report.txt": "8a8de17230af085bb2d4ff6da3974541f2fac92e5cd2a0e336c7ba106564162d",
         "wire_transcript.bin": "8d29c8ef58a4c5c83337e42fc998d96039a0ae2983f4f54b1c9702fdf977987a",
     }),
@@ -60,7 +60,7 @@ GOLDEN = {
         "access_key.hex": "b109869559bf96c9d38b1c8b76555423d551b7c51ca993a84ee2c5c389be1c6b",
         "dealer_key.hex": "b109869559bf96c9d38b1c8b76555423d551b7c51ca993a84ee2c5c389be1c6b",
         "key_transcript.txt": "ed78e04b134db127aa31f0a5d032c8e655975d4fb0719d22844d48f3e5121d0e",
-        "records.csv": "5bcefdeecd1c0e8f2de75c8a93aa551826906fcdb347e7466e22125515b30467",
+        "records.csv": "65d8237dcef64b44ff4f57f0070e429d6a95f0c6cc9fc0a2c06ad1442502eb36",
         "session_report.txt": "8601c180a48a790be3e8d3343692871eca90408e708ca4e3d7ca45fde88c1589",
         "wire_transcript.bin": "63851b2f38f89f2a3d87896432b9d0a034220bb912b18c77e9007697c044a946",
     }),
@@ -69,7 +69,7 @@ GOLDEN = {
         "ciphertext.hex": "a715d4e9d1d0053b57d9878456435738d00b6a4129a7c5046bbbcd033505b5a4",
         "dealer_key.hex": "b531ecdb71aa211839f65092d9fa3d2d95f98eb03660cc76c36a95d51223efcd",
         "key_transcript.txt": "981c43d324fa27a10e488397234877ad32a58001c908c2aab2a8e6bbbc24c1da",
-        "records.csv": "ae68f515dbc1c3b46c5a8aa0d07b9c32ea639117a144a6b10ed4926bd94338ce",
+        "records.csv": "f33993427154fc8020cebde755dcd880e9269ae8055ee53f112bef2142a1fcce",
         "session_report.txt": "85626dee7fcebfa62e4661012be823ba1e3b5b357db73b7c58b034367bbc0c7b",
         "wire_transcript.bin": "b18aa6733acdbf6a2960f14299eab41e4d83ad35c3cef597447139bc7243cfe8",
     }),
@@ -78,7 +78,7 @@ GOLDEN = {
         "ciphertext.hex": "c1c44a4c7fe99caf44a97bec16ddbcbcbeb7f4a6e75fefa1f99831e0979895df",
         "dealer_key.hex": "e484ab634ed253bd7c6c386a6b2244576eefa3b27569a0719b04c84275f01780",
         "key_transcript.txt": "03f6f391a5c534f81951bbf91bcaafcdafeca2e0f99ed7c5b2db96a58c278851",
-        "records.csv": "d77746a99ddbfeead49e194ce0fceba49328f6f35c151d9057603ca4bf535c15",
+        "records.csv": "13e739be5e42b9682de3caf69c8e25d488eccb7c41fe403b3611ce5f40252824",
         "session_report.txt": "af298f57ff2154dbce004357f7874fc21caa4e138dd98f7d1c557109535064ab",
         "wire_transcript.bin": "d89cd219995220490315d58317e92d5e1efad8aa78d201dcb57356d846d0b870",
     }),

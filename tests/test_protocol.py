@@ -33,6 +33,7 @@ from qss4.protocol import (
     check_dealer,
     estimate_qber,
     format_key_transcript,
+    implied_qber,
     party_schedules,
     reconstruct_dealer_bit,
     run_protocol,
@@ -43,6 +44,7 @@ from qss4.quantum import (
     ALL_COMBOS,
     BellSetting,
     NoiseModel,
+    bell_S,
     bell_S_from_table,
     correlation_analytic,
     make_psi4_minus,
@@ -203,6 +205,17 @@ def test_check_report_consistency():
         CheckReport("qber", 10, estimate=0.2, stderr=0.0, threshold=0.11, verdict="proceed")
     with pytest.raises(ValueError):
         CheckReport("bell", 10, estimate=1.5, stderr=0.0, threshold=1.1, verdict="abort")
+
+
+def test_implied_qber():
+    qber = CheckReport("qber", 100, estimate=0.03, stderr=0.01, threshold=0.11, verdict="proceed")
+    assert implied_qber(qber) == 0.03
+    # white noise: S = V * S_max, q = (1 - V) / 2, with V clipped to [0, 1]
+    s_max = bell_S(BellSetting.maximal_violation(), correlation_analytic)
+    for s, q in ((0.9 * s_max, 0.05), (s_max, 0.0), (1.2 * s_max, 0.0), (-0.5, 0.5)):
+        verdict = "proceed" if s > 1.0 else "abort"
+        bell = CheckReport("bell", 100, estimate=s, stderr=0.0, threshold=1.0, verdict=verdict)
+        assert implied_qber(bell) == pytest.approx(q)
 
 
 def _synthetic_bell_pool(n, visibility, seed):
@@ -428,7 +441,7 @@ def test_replay_from_record_file(tmp_path):
         source_config=FAST_SOURCE,
     )
     path = tmp_path / "session.records"
-    write_records(live.records, path, party_schedules(Mode.QBER))
+    write_records(live.records, path)
     replayed = replay_protocol(read_records(path), mode=Mode.QBER, seed=77,
                                target_sifted_bits=400)
     assert replayed.check_report == live.check_report
@@ -437,6 +450,16 @@ def test_replay_from_record_file(tmp_path):
         np.array_equal(replayed.sifted_key.bits[p], live.sifted_key.bits[p])
         for p in PARTIES
     )
+
+
+def test_record_file_bytes_per_record(tmp_path):
+    # the 6k-bit recording of the replay benchmark: 15.7 B/record; the
+    # file with phase and detected columns took 66.7
+    live = run_protocol(mode=Mode.QBER, visibility=0.95, target_sifted_bits=6000, seed=1,
+                        source_config=FAST_SOURCE)
+    path = tmp_path / "session.records"
+    write_records(live.records, path)
+    assert path.stat().st_size / live.counts.records <= 16
 
 
 # no shrink phase: a smaller seed is no simpler session, and shrinking a
@@ -460,7 +483,7 @@ def test_live_equals_replay_over_record_file(seed, mode, first_event_only, attac
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "session.records"
-        write_records(live.records, path, party_schedules(mode))
+        write_records(live.records, path)
         replayed = replay_protocol(read_records(path), mode=mode, seed=seed,
                                    target_sifted_bits=size.get("target_sifted_bits"))
     assert replayed.records == live.records

@@ -127,17 +127,25 @@ def test_count_all_mode_yields_extra_records():
 
 
 def test_record_file_roundtrip(tmp_path):
-    records = _session(300, seed=8, config=SourceConfig(four_photon_rate=1.0))
     path = tmp_path / "session.records"
-    write_records(records, path, SCHEDULES)
-    assert read_records(path) == records
+    for config, n in ((SourceConfig(four_photon_rate=1.0), 300),  # first event per window
+                      (SourceConfig(four_photon_rate=2.0, first_event_only=False), 300),
+                      (SourceConfig(), 0)):  # header only
+        records = _session(n, seed=8, config=config)
+        write_records(records, path)
+        assert read_records(path) == records
+        lines = path.read_text().splitlines()
+        assert lines[0] == RECORD_HEADER and len(lines) == 1 + len(records)
 
 
 def test_record_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.records"
-    path.write_text("nope\n")
-    with pytest.raises(ValueError, match="header"):
-        read_records(path)
+    v1_header = "round_index,label_a,label_b,label_c,label_d,phi_a,phi_b,phi_c,phi_d,detected,bits"
+    for text in ("nope\n", "", f"{v1_header}\n0,0,0,0,0,0.0,0.0,0.0,0.0,0,-\n",
+                 f"{RECORD_HEADER}\r\n0,0000,-1\n", RECORD_HEADER):
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="header"):
+            read_records(path)
 
 
 def test_session_data_views():
@@ -164,24 +172,51 @@ def _write_lines(path, *lines):
 @pytest.mark.parametrize(
     "line, problem",
     [
-        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1,0123", "detected/bits"),
-        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1,01", "detected/bits"),
-        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1,-", "detected/bits"),
-        ("0,0,1,0,1,0.0,0.0,0.0,0.0,0,0101", "detected/bits"),
-        ("0,0,1,0,1,0.0,0.0,0.0,0.0,2,0101", "detected/bits"),
-        ("0,0,1,0,2,0.0,0.0,0.0,0.0,1,0101", "labels"),
-        ("0,0,1,0,1,0.0,0.0,0.0,0.0,1", "bad record line"),
-        ("0,0,1,0,1,0.0,x,0.0,0.0,1,0101", "float"),
-        ("-1,0,0,0,0,0.0,0.0,0.0,0.0,0,-", "round index -1"),
+        ("1,0110,0123", "line 3 of"),
+        ("1,0110,01", "line 3 of"),
+        ("1,0110,01010", "line 3 of"),
+        ("1,0110,-", "bad record line"),
+        ("1,0110,-01", "line 3 of"),
+        ("1,0110,-2", "line 3 of"),
+        ("1,0120,0101", "line 3 of"),
+        ("1,011,0101", "line 3 of"),
+        ("1,01101,0101", "line 3 of"),
+        ("1,0110,0101,0", "line 3 of"),
+        ("1,0110", "bad record line"),
+        ("1,0110,x", "bad record line"),
+        (" 1,0110,0101", "line 3 of"),
+        ("1 ,0110,0101", "line 3 of"),
+        ("+1,0110,0101", "line 3 of"),
+        ("01,0110,0101", "line 3 of"),
+        ("1,0,1,1,0,0.0,0.0,0.0,0.0,1,0101", "line 3 of"),
+        ("-1,0000,-1", "round index -1"),
     ],
 )
 def test_record_file_rejects_bad_fields(tmp_path, line, problem):
     path = tmp_path / "bad.records"
-    _write_lines(path, "0,0,0,0,0,0.0,0.0,0.0,0.0,0,-", line)
+    _write_lines(path, "0,0000,-1", line)
     with pytest.raises(ValueError, match=problem):
         read_records(path)
-    _write_lines(path, "0,0,0,0,0,0.0,0.0,0.0,0.0,0,-")
+    _write_lines(path, "0,0000,-1")
     assert len(read_records(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        (b"0,0000,-1\n\n1,0000,-1\n", 3),
+        (b"0,0000,-1\n1,0000,-1\n\n", 4),
+        (b"0,0000,-1\n1,0000,-1\r\n", 3),
+        (b"0,0000,-1\r\n1,0000,-1\r\n", 2),
+        (b"0,0000,-1\n1,0000,-1", 3),
+    ],
+    ids=["blank-line", "blank-last-line", "crlf-last", "crlf", "no-final-newline"],
+)
+def test_record_file_rejects_bad_line_ends(tmp_path, body, line):
+    path = tmp_path / "bad.records"
+    path.write_bytes(f"{RECORD_HEADER}\n".encode() + body)
+    with pytest.raises(ValueError, match=f"line {line} "):
+        read_records(path)
 
 
 def _reference_session(n, schedules, noise, config, seed, attack):
