@@ -582,12 +582,6 @@ class ToeplitzSeed:
         length = n_in + n_out - 1 if n_out > 0 else 0
         return cls(bits=rng.integers(0, 2, length, dtype=np.uint8), n_in=n_in, n_out=n_out)
 
-    def matrix(self) -> np.ndarray:
-        """Dense T with T[i, j] = bits[n_in - 1 + i - j]."""
-        rows = np.arange(self.n_out)[:, None]
-        cols = np.arange(self.n_in)[None, :]
-        return self.bits[self.n_in - 1 + rows - cols].astype(np.uint8)
-
 
 def privacy_amplify(key, seed: ToeplitzSeed) -> np.ndarray:
     """Compress a key with the Toeplitz hash: T @ key over GF(2).
@@ -637,10 +631,6 @@ class VernamPad:
     @property
     def remaining(self) -> int:
         return len(self._bits) - self._spent
-
-    @property
-    def spent(self) -> int:
-        return self._spent
 
     def _consume(self, length: int) -> np.ndarray:
         if length > self.remaining:

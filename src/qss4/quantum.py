@@ -63,13 +63,6 @@ def pattern_index(pattern: str | Sequence[int]) -> int:
     return (bits[0] << 3) | (bits[1] << 2) | (bits[2] << 1) | bits[3]
 
 
-def pattern_bits(index: int) -> tuple[int, int, int, int]:
-    """Inverse of :func:`pattern_index` for integer indices."""
-    if not 0 <= index < N_PATTERNS:
-        raise ValueError(f"pattern index {index} out of range")
-    return ((index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1)
-
-
 def mode_axis(mode: str | int) -> int:
     """Resolve a mode given as 'a'..'d' or 0..3 to its tensor axis."""
     if isinstance(mode, str):

@@ -24,11 +24,12 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .quantum import NoiseModel, PureState, outcome_distribution
+from .quantum import NoiseModel, PureState, mode_axis, outcome_distribution
 
 #: Typical silicon avalanche photodiode efficiency at the source
 #: wavelength, usable via :meth:`SourceConfig.lab_preset`.
@@ -207,25 +208,39 @@ class _DistributionCache:
         return found
 
 
-def _eve_state_key(
-    cache: _DistributionCache,
-    attack,
-    rng: np.random.Generator,
-) -> tuple:
-    """Sample Eve's per-mode basis and outcome for one attacked round."""
-    from .quantum import mode_axis as _axis
+def _eve_walk(cache: _DistributionCache, attack, bases: np.ndarray,
+              draws: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """Eve's collapse path of every attacked detection, one tree level per attacked mode.
 
-    key: tuple = ()
-    for mode in attack.attacked_modes:
-        axis = _axis(mode)
-        phi = attack.eve_bases[int(rng.integers(len(attack.eve_bases)))]
-        p_plus, plus_key, minus_key = cache.collapse_branch(key, axis, phi)
-        take_plus = rng.random() < p_plus
-        nxt = plus_key if take_plus else minus_key
-        if nxt is None:
-            nxt = minus_key if take_plus else plus_key
-        key = nxt
-    return key
+    Row k of ``bases`` (indices into ``attack.eve_bases``) and of ``draws``
+    (uniforms) holds detection k's choices for the attacked modes, in
+    mode order. A detection takes the +1 branch when its uniform is below
+    that branch's probability; a dead branch falls through to its live
+    sibling. Each distinct (node, basis) pair of a level costs one
+    ``collapse_branch`` call, whatever the number of detections. Returns
+    the state key of every tree node and each detection's final node.
+    """
+    n_bases = len(attack.eve_bases)
+    # the tree has at most sum((2 * n_bases) ** level) nodes: ids and (node, basis) pairs fit
+    small = np.min_scalar_type(
+        n_bases * sum((2 * n_bases) ** level for level in range(len(attack.attacked_modes) + 1)))
+    keys: list[tuple] = [()]
+    node = np.zeros(len(bases), dtype=small)
+    for level, mode in enumerate(attack.attacked_modes):
+        pair = node * n_bases + bases[:, level].astype(small)
+        width = len(keys) * n_bases
+        threshold = np.zeros(width)
+        children = np.zeros((2, width), dtype=small)
+        for p in np.flatnonzero(np.bincount(pair, minlength=width)):
+            p_plus, plus_key, minus_key = cache.collapse_branch(
+                keys[p // n_bases], mode_axis(mode), attack.eve_bases[p % n_bases])
+            threshold[p] = 0.0 if plus_key is None else 1.0 if minus_key is None else p_plus
+            for side, child in enumerate((plus_key, minus_key)):
+                if child is not None:
+                    children[side, p] = len(keys)
+                    keys.append(child)
+        node = np.where(draws[:, level] < threshold[pair], children[0, pair], children[1, pair])
+    return keys, node
 
 
 def _sample_outcomes(
@@ -240,22 +255,36 @@ def _sample_outcomes(
 ) -> np.ndarray:
     """Outcome pattern index of each detection; ``windows`` gives its window.
 
-    Each attacked detection first walks Eve's collapse, in detection
-    order, on the adversary stream. Detections are then grouped on
-    (state, phase tuple) and every group is inverted through its CDF with
-    one vectorized ``searchsorted``, each detection using its own uniform.
+    With m attacked detections, the adversary stream gives, in this order,
+    ``integers(len(eve_bases), size=(m, modes))`` (Eve's basis per
+    attacked mode) and ``random((m, modes))`` (her branch uniforms), row k
+    belonging to the k-th attacked detection in detection order; with
+    m = 0 nothing is drawn. :func:`_eve_walk` turns them into each
+    detection's state. Detections are then sorted once on (state, phase
+    code), and each group's contiguous slice is inverted through its CDF
+    with one ``searchsorted``, every detection using its own uniform.
     """
-    state_ids = {(): 0}
-    state_of = np.zeros(len(windows), dtype=np.int64)
-    for j in np.nonzero(attacked)[0]:
-        key = _eve_state_key(cache, attack, adversary)
-        state_of[j] = state_ids.setdefault(key, len(state_ids))
-    states = list(state_ids)
-    groups = state_of << 8 | phase_codes[windows]
+    groups = phase_codes[windows]
+    keys: list[tuple] = [()]
+    rows = np.flatnonzero(attacked)
+    if rows.size:
+        shape = (rows.size, len(attack.attacked_modes))
+        bases = adversary.integers(len(attack.eve_bases), size=shape)
+        keys, node = _eve_walk(cache, attack, bases, adversary.random(shape))
+        groups[rows] |= node.astype(groups.dtype) << 8
+    sizes = np.bincount(groups)
+    present = np.flatnonzero(sizes)
+    dense = np.zeros(len(sizes), dtype=np.min_scalar_type(max(len(present) - 1, 0)))
+    dense[present] = np.arange(len(present))
+    # a stable sort of a uint8/uint16 key is numpy's O(n) radix sort
+    order = np.argsort(dense[groups], kind="stable")
+    del groups
     outcomes = np.empty(len(windows), dtype=np.int8)
-    for group in np.unique(groups):
-        members = np.nonzero(groups == group)[0]
-        cdf = cache.cdf(states[group >> 8], _phase_tuple(schedules, int(group) & 0xFF))
+    hi = 0
+    for group, size in zip(present.tolist(), sizes[present].tolist()):
+        lo, hi = hi, hi + size
+        members = order[lo:hi]
+        cdf = cache.cdf(keys[group >> 8], _phase_tuple(schedules, group & 0xFF))
         outcomes[members] = np.searchsorted(cdf, uniforms[members], side="right")
     return outcomes
 
@@ -275,9 +304,13 @@ def run_session(
     ``attack`` is an intercept-resend ``AttackConfig`` that perturbs the
     state before measurement, or None. Basis labels come from the
     per-party streams, event counts and outcomes from the source stream,
-    attack randomness (round selection, Eve's bases and outcomes) from the
-    adversary stream. Identical seeds and configuration reproduce the
-    session bit for bit.
+    attack randomness from the adversary stream. An attack with a
+    positive fraction and at least one mode draws, in this order,
+    ``random(n_windows)`` (a window is attacked when its value is below
+    the fraction), then ``integers(len(eve_bases), size=(m, modes))`` and
+    ``random((m, modes))`` for the m attacked detections
+    (:func:`_sample_outcomes`); no attack draws nothing. Identical seeds
+    and configuration reproduce the session bit for bit.
     """
     if n_windows < 0:
         raise ValueError("n_windows must be >= 0")
@@ -363,6 +396,41 @@ def write_records(records: SessionData, path) -> None:
             fh.write(_record_text(records, lo))
 
 
+def _parse_fields(lines) -> np.ndarray:
+    """Round, labels and bits of each record line, read as integers; blank lines are skipped."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=[("round", np.int64), ("labels", np.int16),
+                                        ("bits", np.int16)],
+                          delimiter=",", comments=None, usecols=(0, 1, 2), ndmin=1)
+
+
+def _first_unparsed_line(fh) -> tuple[int, bytes]:
+    """File line number and text of the first record line that :func:`_parse_fields` rejects.
+
+    Each line parses on its own, so the search reads ``_CHUNK`` lines at a
+    time and bisects the first chunk that fails.
+    """
+    def parses(lines) -> bool:
+        try:
+            _parse_fields(lines)
+        except ValueError:
+            return False
+        return True
+
+    number = 2
+    for lines in iter(lambda: list(islice(fh, _CHUNK)), []):
+        if parses(lines):
+            number += len(lines)
+            continue
+        lo, hi = 0, len(lines)  # lines[lo:hi] holds the first line that fails
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if parses(lines[lo:mid]) else (lo, mid)
+        return number + lo, lines[lo].rstrip(b"\n")
+    raise AssertionError("every record line parses on its own")
+
+
 def read_records(path) -> SessionData:
     """Parse a record file in one numpy pass, accepting only the writer's own text.
 
@@ -370,26 +438,20 @@ def read_records(path) -> SessionData:
     chunk, with what :func:`write_records` prints for the parsed records,
     and any byte that differs rejects it. Round indices start at 0 or
     above and never decrease (count-all mode repeats a window's index).
+    Every error past the header names its file line (the header is line 1).
     """
     with open(path, "rb") as fh:
         header = fh.readline()
         if header != (RECORD_HEADER + "\n").encode():
             raise ValueError(f"unexpected record file header: {header!r}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                table = np.loadtxt(fh, dtype=[("round", np.int64), ("labels", np.int16),
-                                              ("bits", np.int16)],
-                                   delimiter=",", comments=None, usecols=(0, 1, 2), ndmin=1)
-            except ValueError as exc:
-                raise ValueError(f"bad record line in {path}: {exc}") from None
-        rounds = table["round"].copy()
-        bad = np.flatnonzero(np.append(rounds[:1] < 0, rounds[1:] < rounds[:-1]))
-        if bad.size:
-            raise ValueError(f"round index {rounds[bad[0]]} on record {bad[0]} is "
-                             "negative or below the previous record's")
+        try:
+            table = _parse_fields(fh)
+        except ValueError:
+            fh.seek(len(header))
+            line, text = _first_unparsed_line(fh)
+            raise ValueError(f"bad record line {line} of {path}: {text!r}") from None
         records = SessionData(
-            rounds,
+            table["round"].copy(),
             np.take(_LABELS_OF_CODE, _CODE_OF_FIELD[np.clip(table["labels"], 0, 1111) + 1], axis=1),
             _CODE_OF_FIELD[np.clip(table["bits"], -1, 1111) + 1],
         )
@@ -403,4 +465,10 @@ def read_records(path) -> SessionData:
                 line = 2 + lo + want.count(b"\n", 0, at)
                 text = got[got.rfind(b"\n", 0, at) + 1:].split(b"\n", 1)[0]
                 raise ValueError(f"line {line} of {path} is not the writer's text: {text!r}")
+    # the file is the writer's text, so record i is on line i + 2
+    rounds = records.rounds
+    bad = np.flatnonzero(np.append(rounds[:1] < 0, rounds[1:] < rounds[:-1]))
+    if bad.size:
+        raise ValueError(f"round index {rounds[bad[0]]} on line {bad[0] + 2} of {path} is "
+                         "negative or below the previous line's")
     return records

@@ -48,21 +48,20 @@ GOLDEN = {
         "wire_transcript.bin": "27d263cde0f8b4f0aca706092a63a0de41d256d712d49391fcb3270049c9f847",
     }),
     ("bell-attacked", 3): (0, {
-        "access_key.hex": "07a133b4b1fb19cd9bf2587bd7e1a48eaf1905b18e49356857edbe1486355b86",
-        "ciphertext.hex": "dd367c4576823ed3bef50d63b8e2c06d9b3e0f090dd77e57d904057d0f212467",
-        "dealer_key.hex": "07a133b4b1fb19cd9bf2587bd7e1a48eaf1905b18e49356857edbe1486355b86",
-        "key_transcript.txt": "d6ba2e60097b7e7d70cabab8ef29e05365a094cec64d9419f9acbfebc1f11a61",
-        "records.csv": "a29a1da564a327556dc04a8af1e614d870dd99417e692e31917bbe031f0677d9",
-        "session_report.txt": "8a8de17230af085bb2d4ff6da3974541f2fac92e5cd2a0e336c7ba106564162d",
-        "wire_transcript.bin": "8d29c8ef58a4c5c83337e42fc998d96039a0ae2983f4f54b1c9702fdf977987a",
+        "access_key.hex": "7e28f9fc03f0b4b424b46cf57ff4b1add24550f86e06efde74ede7584d10d884",
+        "dealer_key.hex": "7e28f9fc03f0b4b424b46cf57ff4b1add24550f86e06efde74ede7584d10d884",
+        "key_transcript.txt": "80f6fe00093ae56e2098a336fa3477f93e77ad600203c79e22a5c415b134adbb",
+        "records.csv": "7df1e20202c3e592ee3ff528b8d196d3e86d84ea0e4b58650d7f9d35b357078b",
+        "session_report.txt": "e5ca05d281a4d78812ec7eca1cbcfb79f2539a3af33f3ff1e16ee7174a21ec15",
+        "wire_transcript.bin": "5f8b9b690bc4fdad7c4b4c6313638f41d3a89bcbcba75691009f65ca7da9c363",
     }),
     ("bell-attacked", 11): (0, {
-        "access_key.hex": "b109869559bf96c9d38b1c8b76555423d551b7c51ca993a84ee2c5c389be1c6b",
-        "dealer_key.hex": "b109869559bf96c9d38b1c8b76555423d551b7c51ca993a84ee2c5c389be1c6b",
-        "key_transcript.txt": "ed78e04b134db127aa31f0a5d032c8e655975d4fb0719d22844d48f3e5121d0e",
-        "records.csv": "65d8237dcef64b44ff4f57f0070e429d6a95f0c6cc9fc0a2c06ad1442502eb36",
-        "session_report.txt": "8601c180a48a790be3e8d3343692871eca90408e708ca4e3d7ca45fde88c1589",
-        "wire_transcript.bin": "63851b2f38f89f2a3d87896432b9d0a034220bb912b18c77e9007697c044a946",
+        "access_key.hex": "2b0f2fa9f8e365e6c6668045835b0605f7f4ab7b9ca8db44a238b8cab23c5006",
+        "dealer_key.hex": "2b0f2fa9f8e365e6c6668045835b0605f7f4ab7b9ca8db44a238b8cab23c5006",
+        "key_transcript.txt": "5d796692dbd4dd3d4cbc8fdb1002cfeff9f28ef63244ee9d38e1286776f5f71d",
+        "records.csv": "fdf023325569f0f8e144cf91f04ab2fdd71c12003e286a6dc0490b5ac163b650",
+        "session_report.txt": "5e563ff96a95406b8810584e90e8b43e083d2a653a420781a0537abddca754a3",
+        "wire_transcript.bin": "ee68c387a2492e0add5fe5811fa4a7b645b7435397276a61dc02c5e5f1753380",
     }),
     ("count-all", 3): (0, {
         "access_key.hex": "b531ecdb71aa211839f65092d9fa3d2d95f98eb03660cc76c36a95d51223efcd",

@@ -6,6 +6,7 @@ import pytest
 
 from qss4.quantum import (
     ALL_COMBOS,
+    PATTERNS,
     BellSetting,
     NoiseModel,
     OutcomeDistribution,
@@ -19,7 +20,6 @@ from qss4.quantum import (
     make_psi4_minus,
     mode_axis,
     outcome_distribution,
-    pattern_bits,
     pattern_index,
     qber_from_visibility,
 )
@@ -51,11 +51,9 @@ def test_state_rejects_unnormalized():
 def test_pattern_helpers():
     assert pattern_index("HHVV") == 0b0011
     assert pattern_index((1, 0, 1, 0)) == 0b1010
-    assert pattern_bits(0b0110) == (0, 1, 1, 0)
+    assert [pattern_index(label) for label in PATTERNS] == list(range(16))
     with pytest.raises(ValueError):
         pattern_index("HHXX")
-    with pytest.raises(ValueError):
-        pattern_bits(16)
     assert mode_axis("c") == 2
     with pytest.raises(ValueError):
         mode_axis("e")
@@ -96,9 +94,7 @@ def test_distribution_matched_settings():
         "VHVH": 1 / 12,
     }
     for i in range(16):
-        want = expected.get(
-            "".join("HV"[b] for b in pattern_bits(i)), 0.0
-        )
+        want = expected.get(PATTERNS[i], 0.0)
         assert dist.probs[i] == pytest.approx(want, abs=1e-12)
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qss4.adversary import AttackConfig
-from qss4.quantum import NoiseModel, PureState, make_psi4_minus, outcome_distribution, pattern_bits
+import qss4.quantum
+from qss4.adversary import AttackConfig, enumerate_attack_branches
+from qss4.quantum import NoiseModel, PureState, make_psi4_minus, mode_axis, outcome_distribution
 from qss4.source import (
     RECORD_HEADER,
     PartySchedule,
@@ -17,7 +18,7 @@ from qss4.source import (
     run_session,
     write_records,
 )
-from qss4.source import _DistributionCache, _eve_state_key
+from qss4.source import _DistributionCache, _eve_walk
 
 SCHEDULES = tuple(PartySchedule(phases=(0.0, math.pi / 2)) for _ in range(4))
 
@@ -156,7 +157,7 @@ def test_session_data_views():
     bits = records.bits_at(positions)
     assert bits.shape == (4, len(positions)) and bits.dtype == np.uint8
     assert [tuple(col) for col in bits.T.tolist()] == [
-        pattern_bits(int(records.outcomes[i])) for i in positions
+        tuple(int(records.outcomes[i]) >> shift & 1 for shift in (3, 2, 1, 0)) for i in positions
     ]
     columns = (records.rounds, records.labels, records.outcomes)
     head = SessionData(*(col[..., :150] for col in columns))
@@ -201,6 +202,9 @@ def test_record_file_rejects_bad_fields(tmp_path, line, problem):
     assert len(read_records(path)) == 1
 
 
+_MANY_LINES = "".join(f"{i},0000,-1\n" for i in range(70_000)).encode()
+
+
 @pytest.mark.parametrize(
     "body, line",
     [
@@ -209,14 +213,38 @@ def test_record_file_rejects_bad_fields(tmp_path, line, problem):
         (b"0,0000,-1\n1,0000,-1\r\n", 3),
         (b"0,0000,-1\r\n1,0000,-1\r\n", 2),
         (b"0,0000,-1\n1,0000,-1", 3),
+        # a field that does not parse, or a round out of order, is named by its file line too
+        (b"0,0000,-1\n1,0110,x\n", 3),
+        (b"0,0000,-1\n\n1,0110,x\n", 4),
+        (b"0,0000,-1\n\n1,0110\n", 4),
+        (b"\n\n0,0000,-1\n1,0110,-\n", 5),
+        (_MANY_LINES + b"70000,0110,x\n", 70002),
+        (b"0,0000,-1\n2,0000,-1\n1,0000,-1\n", 4),
+        (_MANY_LINES + b"-1,0000,-1\n", 70002),
     ],
-    ids=["blank-line", "blank-last-line", "crlf-last", "crlf", "no-final-newline"],
+    ids=["blank-line", "blank-last-line", "crlf-last", "crlf", "no-final-newline",
+         "bad-field", "bad-field-after-blank-line", "missing-field-after-blank-line",
+         "bad-field-after-two-blank-lines", "bad-field-past-a-chunk", "round-order",
+         "round-order-past-a-chunk"],
 )
 def test_record_file_rejects_bad_line_ends(tmp_path, body, line):
     path = tmp_path / "bad.records"
     path.write_bytes(f"{RECORD_HEADER}\n".encode() + body)
     with pytest.raises(ValueError, match=f"line {line} "):
         read_records(path)
+
+
+def _walk_one(cache, attack, bases, draws):
+    """Eve's final state key for one attacked detection, walked with scalar reads."""
+    key = ()
+    for mode, basis, u in zip(attack.attacked_modes, bases.tolist(), draws.tolist()):
+        p_plus, plus_key, minus_key = cache.collapse_branch(
+            key, mode_axis(mode), attack.eve_bases[basis])
+        take_plus = u < p_plus
+        key = plus_key if take_plus else minus_key
+        if key is None:
+            key = minus_key if take_plus else plus_key
+    return key
 
 
 def _reference_session(n, schedules, noise, config, seed, attack):
@@ -238,10 +266,16 @@ def _reference_session(n, schedules, noise, config, seed, attack):
     survive = np.all(streams.source.random((events, 4)) < config.detector_efficiency, axis=1)
     uniforms = streams.source.random(events)
     windows = range(n) if config.first_event_only else np.repeat(np.arange(n), counts)
+    # Eve's blocks for the m attacked detections, one row each in detection order
+    m = sum(1 for event, w in enumerate(windows) if survive[event] and counts[w] > 0 and attacked[w])
+    if m:
+        shape = (m, len(attack.attacked_modes))
+        eve = zip(streams.adversary.integers(len(attack.eve_bases), size=shape),
+                  streams.adversary.random(shape))
     hits = [[] for _ in range(n)]
     for event, w in enumerate(windows):
         if survive[event] and counts[w] > 0:
-            key = _eve_state_key(cache, attack, streams.adversary) if attacked[w] else ()
+            key = _walk_one(cache, attack, *next(eve)) if attacked[w] else ()
             idx = int(np.searchsorted(cache.cdf(key, phases[w]), uniforms[event], side="right"))
             hits[w].append(idx)
     rows = [(w, idx) for w in range(n) for idx in hits[w] or [-1]]
@@ -276,3 +310,66 @@ def test_run_session_matches_per_window_reference(seed, first_event_only, schedu
     reference = _reference_session(600, schedules, noise, config, seed, attack)
     for f in fields(SessionData):
         assert np.array_equal(getattr(records, f.name), getattr(reference, f.name)), f.name
+
+
+def _state_label(state):
+    return tuple((state.amplitudes.round(9) + 0).tolist())
+
+
+def test_eve_walk_branch_frequencies_match_enumeration():
+    attack = AttackConfig(attacked_modes=("b", "d"), eve_bases=(0.0, math.pi / 2))
+    cache = _DistributionCache(make_psi4_minus(), NoiseModel())
+    rng = np.random.default_rng(21)
+    m = 200_000
+    keys, node = _eve_walk(cache, attack, rng.integers(2, size=(m, 2)), rng.random((m, 2)))
+    found = {}
+    for leaf, count in enumerate(np.bincount(node, minlength=len(keys))):
+        if count:
+            label = _state_label(cache.states[keys[leaf]])
+            found[label] = found.get(label, 0) + int(count)
+    weights = {}
+    for weight, state in enumerate_attack_branches(attack):
+        weights[_state_label(state)] = weights.get(_state_label(state), 0.0) + weight
+    assert set(found) <= set(weights) and len(weights) > 4
+    for label, weight in weights.items():
+        sigma = math.sqrt(weight * (1 - weight) / m)
+        assert abs(found.get(label, 0) / m - weight) < 5 * sigma
+
+
+def test_eve_walk_dead_branch_falls_through_to_sibling():
+    # mode a is H with probability 1e-17: the +1 branch is dead but its probability is not 0
+    amplitudes = np.zeros(16, dtype=np.complex128)
+    amplitudes[0b0011] = math.sqrt(1e-17)
+    amplitudes[0b1011] = math.sqrt(1 - 1e-17)
+    cache = _DistributionCache(PureState(amplitudes), NoiseModel())
+    attack = AttackConfig(attacked_modes=("a", "b"), eve_bases=(0.0,))
+    draws = np.concatenate([np.zeros((3, 2)), np.random.default_rng(4).random((500, 2))])
+    keys, node = _eve_walk(cache, attack, np.zeros((len(draws), 2), dtype=np.int64), draws)
+    assert cache.collapse_branch((), 0, 0.0)[0] > 0.0  # a uniform of 0 does pick the dead branch
+    assert {keys[leaf] for leaf in node.tolist()} == {((0, 0.0, -1), (1, 0.0, +1))}
+
+
+def test_eve_walk_cost_independent_of_window_count(monkeypatch):
+    calls = {"collapse": 0, "branch": 0}
+    collapse = qss4.quantum.collapse_after_single_mode_measurement
+    branch = _DistributionCache.collapse_branch
+
+    def counted_collapse(*args):
+        calls["collapse"] += 1
+        return collapse(*args)
+
+    def counted_branch(*args):
+        calls["branch"] += 1
+        return branch(*args)
+
+    monkeypatch.setattr(qss4.quantum, "collapse_after_single_mode_measurement", counted_collapse)
+    monkeypatch.setattr(_DistributionCache, "collapse_branch", counted_branch)
+    attack = AttackConfig(attacked_modes=("b", "d"), eve_bases=(0.0, math.pi / 2))
+    counts = []
+    for n in (10_000, 100_000):
+        calls.update(collapse=0, branch=0)
+        run_session(n, BELL_SCHEDULES, make_psi4_minus(), NoiseModel(visibility=0.97),
+                    SourceConfig(four_photon_rate=3.0), SessionStreams.from_seed(5), attack=attack)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["branch"] == 2 + 8  # one call per (node, basis) pair: level b, then level d
