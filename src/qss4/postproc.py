@@ -589,7 +589,9 @@ def privacy_amplify(key, seed: ToeplitzSeed) -> np.ndarray:
     Computed as a slice of the integer convolution of seed and key, which
     equals the matrix product for the matrix convention in the module
     docstring. The convolution runs through ``rfft``/``irfft`` zero-padded
-    to a power of two >= len(seed) + n_in - 1, so the slice cannot wrap;
+    to a power of two >= len(seed). The linear convolution has
+    len(seed) + n_in - 1 terms, so a term wraps only onto outputs below
+    n_in - 1, which the slice ``[n_in - 1, n_in - 1 + n_out)`` skips;
     each entry is rounded to the nearest integer and reduced mod 2. The
     float error is far below one half (max |conv - rint(conv)| was 1.4e-12
     at 12k key bits and 1.2e-10 at 1e6); a residual of 0.25 or more raises
@@ -602,7 +604,7 @@ def privacy_amplify(key, seed: ToeplitzSeed) -> np.ndarray:
         raise ValueError(f"seed is {n_out}x{seed.n_in}, got key of {len(bits)}")
     if n_out == 0:
         return np.zeros(0, dtype=np.uint8)
-    size = 1 << (len(seed.bits) + seed.n_in - 2).bit_length()
+    size = 1 << (len(seed.bits) - 1).bit_length()
     spectrum = np.fft.rfft(seed.bits, size) * np.fft.rfft(bits, size)
     conv = np.fft.irfft(spectrum, size)[seed.n_in - 1 : seed.n_in - 1 + n_out]
     rounded = np.rint(conv)

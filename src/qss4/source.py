@@ -21,10 +21,7 @@ writer prints for the records it parsed.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, fields
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -367,104 +364,178 @@ def run_session(
 
 RECORD_HEADER = "qss4 records v2: round_index,labels,bits"
 
+_HEADER_LINE = (RECORD_HEADER + "\n").encode()
 #: The four 0/1 digits of each pattern index, party a first.
 _BITS_TEXT = [format(i, "04b") for i in range(16)]
 #: Line tail of each (label code, outcome + 1); an undetected record's bits read ``-1``.
-_LINE_TAIL = [f",{labels},{bits}\n" for labels in _BITS_TEXT for bits in ["-1"] + _BITS_TEXT]
-#: Pattern index of a 0/1 field parsed as a decimal number plus one ("0101" -> 102 -> 5);
-#: index 0 is the undetected ``-1``. A non-canonical field maps to 0 and fails the text check.
-_CODE_OF_FIELD = np.zeros(1113, dtype=np.int8)
-_CODE_OF_FIELD[[0] + [int(text) + 1 for text in _BITS_TEXT]] = np.arange(-1, 16)
-_LABELS_OF_CODE = ((np.arange(16) >> _BIT_SHIFTS) & 1).astype(np.uint8)
-#: Records rendered per write, and per comparison when reading.
+_LINE_TAIL = [f",{labels},{bits}\n".encode() for labels in _BITS_TEXT for bits in ["-1"] + _BITS_TEXT]
+#: The line tails padded to 12 bytes, as three native uint32 words each.
+_TAIL_WORDS = np.frombuffer(b"".join(tail.ljust(12) for tail in _LINE_TAIL),
+                            dtype=np.uint32).reshape(-1, 3)
+#: The four ASCII digits of 0..9999, as one native uint32 word each.
+_DIGIT_WORDS = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype=np.uint32)
+#: 10 ** k for k = 0..19; a round index has at most 19 digits and a sign.
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+#: Records rendered per write.
 _CHUNK = 1 << 16
+#: Bytes read per block; a block is parsed up to its last newline.
+_BLOCK = 1 << 22
+#: Bytes in the longest line the writer prints, ``-9223372036854775808,1111,1111`` and newline.
+_LONGEST_LINE = 31
 
 
-def _record_text(records: SessionData, lo: int) -> str:
-    """The lines of records ``lo`` to ``lo + _CHUNK``: the one grammar of the file."""
-    rows = slice(lo, lo + _CHUNK)
-    codes = (records.labels[:, rows].astype(np.int64) << _BIT_SHIFTS).sum(axis=0)
-    tails = (codes * 17 + records.outcomes[rows] + 1).tolist()
-    return "".join([f"{r}{_LINE_TAIL[t]}" for r, t in zip(records.rounds[rows].tolist(), tails)])
+def _record_text(rounds: np.ndarray, labels: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """The lines of these records, as uint8 bytes: the one grammar of the file.
+
+    Each record is one row of a table: its round index right-aligned in
+    whole four-digit words, then its line tail. The digits come from one
+    divmod by 10,000 per word, the tail from :data:`_TAIL_WORDS`; one
+    boolean mask then drops the leading zeros and the padding.
+    """
+    negative = rounds < 0
+    # -rounds wraps at -2**63, whose magnitude 2**63 the uint64 view still holds
+    magnitude = np.where(negative, -rounds, rounds).view(np.uint64)
+    width = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1) + negative
+    words = -(-int(width.max(initial=1)) // 4)
+    table = np.empty((len(rounds), words + 3), dtype=np.uint32)
+    for word in range(words - 1, -1, -1):
+        magnitude, low = np.divmod(magnitude, 10_000)
+        table[:, word] = _DIGIT_WORDS.take(low)
+    codes = labels[0] << 3 | labels[1] << 2 | labels[2] << 1 | labels[3]
+    table[:, words:] = _TAIL_WORDS.take(codes * np.int16(17) + outcomes + 1, axis=0)
+    text = table.view(np.uint8)
+    digits = 4 * words
+    text[np.flatnonzero(negative), digits - width[negative]] = ord("-")
+    # the columns each (width, detected) pair fills: the last `width` digits, a 9 or 11 byte tail
+    columns = np.arange(text.shape[1])
+    widths, tails = np.arange(digits + 1).repeat(2), np.tile([9, 11], digits + 1)
+    fills = (columns >= digits - widths[:, None]) & (columns < digits + tails[:, None])
+    return text[fills.take(2 * width + (outcomes >= 0), axis=0)]
 
 
 def write_records(records: SessionData, path) -> None:
     """Write the header line, then one ``round_index,labels,bits`` line per record."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(RECORD_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_LINE)
         for lo in range(0, len(records), _CHUNK):
-            fh.write(_record_text(records, lo))
+            rows = slice(lo, lo + _CHUNK)
+            fh.write(_record_text(records.rounds[rows], records.labels[:, rows],
+                                  records.outcomes[rows]))
 
 
-def _parse_fields(lines) -> np.ndarray:
-    """Round, labels and bits of each record line, read as integers; blank lines are skipped."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=[("round", np.int64), ("labels", np.int16),
-                                        ("bits", np.int16)],
-                          delimiter=",", comments=None, usecols=(0, 1, 2), ndmin=1)
+def _parse_lines(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rounds, labels and outcomes of a block of whole lines, read at the writer's offsets.
 
-
-def _first_unparsed_line(fh) -> tuple[int, bytes]:
-    """File line number and text of the first record line that :func:`_parse_fields` rejects.
-
-    Each line parses on its own, so the search reads ``_CHUNK`` lines at a
-    time and bisects the first chunk that fails.
+    The bits are the four bytes before each newline, or ``-1`` when the
+    byte two before it is ``-``; the labels are the four bytes before
+    them and a comma, and the round is what comes before that comma.
+    Any line the writer prints parses exactly. Any other line parses to
+    some record, whose text then differs from it. Reads are clipped to
+    the block, so no input raises.
     """
-    def parses(lines) -> bool:
-        try:
-            _parse_fields(lines)
-        except ValueError:
-            return False
-        return True
+    ends = np.flatnonzero(block == ord("\n"))
+    undetected = block.take(ends - 2, mode="clip") == ord("-")
+    comma = ends - np.where(undetected, 8, 10)
+    labels, bits = np.empty((2, 4, len(ends)), dtype=np.uint8)
+    for party in range(4):
+        block.take(comma + (1 + party), out=labels[party], mode="clip")
+        block.take(ends - (4 - party), out=bits[party], mode="clip")
+    labels &= 1
+    bits &= 1
+    codes = bits[0] << 3 | bits[1] << 2 | bits[2] << 1 | bits[3]
+    outcomes = np.where(undetected, -1, codes.view(np.int8))
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    negative = block.take(starts, mode="clip") == ord("-")
+    width = comma - starts - negative
+    magnitude = np.zeros(len(ends), dtype=np.uint64)
+    digit = np.empty(len(ends), dtype=np.uint8)
+    for k in range(min(int(width.max(initial=0)), len(_POW10))):
+        block.take(comma - (1 + k), out=digit, mode="clip")
+        digit -= ord("0")
+        digit[width <= k] = 0
+        magnitude += digit * _POW10[k]
+    rounds = magnitude.view(np.int64)
+    np.negative(rounds, out=rounds, where=negative)
+    return rounds, labels, outcomes
 
-    number = 2
-    for lines in iter(lambda: list(islice(fh, _CHUNK)), []):
-        if parses(lines):
-            number += len(lines)
-            continue
-        lo, hi = 0, len(lines)  # lines[lo:hi] holds the first line that fails
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if parses(lines[lo:mid]) else (lo, mid)
-        return number + lo, lines[lo].rstrip(b"\n")
-    raise AssertionError("every record line parses on its own")
+
+def _bad_line(path, line: int, text: bytes) -> ValueError:
+    return ValueError(f"bad record line {line} of {path}: {text[:_LONGEST_LINE]!r}")
+
+
+def _check_block(block: np.ndarray, path, line: int):
+    """The records of a block of whole lines that starts at file line ``line``.
+
+    Returns them, the number of lines in the block and the file line of
+    its first blank line (0 if none). The block must be, byte for byte,
+    what :func:`_record_text` prints for its records, blank lines aside;
+    otherwise the first other line that differs raises ``ValueError``.
+    """
+    parsed = _parse_lines(block)
+    text = _record_text(*parsed)
+    if np.array_equal(text, block):
+        return parsed, len(parsed[0]), 0
+    ends = np.flatnonzero(block == ord("\n"))
+    blank = np.diff(ends, prepend=-1) == 1
+    kept = np.flatnonzero(~blank)  # the offset of each line left in the block
+    if blank.any():
+        keep = np.ones(len(block), dtype=bool)
+        keep[ends[blank]] = False
+        block = block[keep]
+        parsed = _parse_lines(block)
+        text = _record_text(*parsed)
+        if np.array_equal(text, block):
+            return parsed, len(ends), line + int(np.argmax(blank))
+    # both end each line with its only newline, so neither is a prefix of the other
+    at = int(np.flatnonzero(text[:len(block)] != block[:len(text)])[0])
+    lines = block.tobytes()
+    start = lines.rfind(b"\n", 0, at) + 1
+    raise _bad_line(path, line + int(kept[lines.count(b"\n", 0, start)]),
+                    lines[start:lines.find(b"\n", start)])
 
 
 def read_records(path) -> SessionData:
-    """Parse a record file in one numpy pass, accepting only the writer's own text.
+    """Parse a record file block by block, accepting only the writer's own text.
 
-    The fields are read as integers; the file is then compared, chunk by
-    chunk, with what :func:`write_records` prints for the parsed records,
-    and any byte that differs rejects it. Round indices start at 0 or
+    One pass counts the lines, so the columns are allocated once. The
+    second reads :data:`_BLOCK` bytes at a time and checks them up to the
+    last newline (:func:`_check_block`): each block is parsed at the
+    writer's fixed offsets (:func:`_parse_lines`) and compared with what
+    :func:`_record_text` prints for the records parsed. The first byte
+    that differs rejects the file and names its line; a blank line is
+    named only when no other line is bad. Round indices start at 0 or
     above and never decrease (count-all mode repeats a window's index).
     Every error past the header names its file line (the header is line 1).
     """
     with open(path, "rb") as fh:
-        header = fh.readline()
-        if header != (RECORD_HEADER + "\n").encode():
+        header = fh.readline(len(_HEADER_LINE))
+        if header != _HEADER_LINE:
             raise ValueError(f"unexpected record file header: {header!r}")
-        try:
-            table = _parse_fields(fh)
-        except ValueError:
-            fh.seek(len(header))
-            line, text = _first_unparsed_line(fh)
-            raise ValueError(f"bad record line {line} of {path}: {text!r}") from None
-        records = SessionData(
-            table["round"].copy(),
-            np.take(_LABELS_OF_CODE, _CODE_OF_FIELD[np.clip(table["labels"], 0, 1111) + 1], axis=1),
-            _CODE_OF_FIELD[np.clip(table["bits"], -1, 1111) + 1],
-        )
+        buf = bytearray(_LONGEST_LINE + _BLOCK)
+        data = np.frombuffer(buf, dtype=np.uint8)
+        n = 0
+        while size := fh.readinto(buf):
+            n += int(np.count_nonzero(data[:size] == ord("\n")))
+        records = SessionData(np.empty(n, dtype=np.int64), np.empty((4, n), dtype=np.uint8),
+                              np.empty(n, dtype=np.int8))
         fh.seek(len(header))
-        # one more, empty chunk past the last record: the file must end there
-        for lo in (*range(0, len(records), _CHUNK), len(records)):
-            want = _record_text(records, lo).encode()
-            got = fh.read(len(want) or 1)
-            if got != want:
-                at = len(os.path.commonprefix([got, want]))
-                line = 2 + lo + want.count(b"\n", 0, at)
-                text = got[got.rfind(b"\n", 0, at) + 1:].split(b"\n", 1)[0]
-                raise ValueError(f"line {line} of {path} is not the writer's text: {text!r}")
+        # records stored, the file line at the start of `buf`, bytes of it carried over
+        done, line, carried, first_blank = 0, 2, 0, 0
+        while size := fh.readinto(memoryview(buf)[carried:carried + _BLOCK]):
+            size += carried
+            cut = buf.rfind(b"\n", 0, size) + 1
+            parsed, lines, blank = _check_block(data[:cut], path, line)
+            hi = done + len(parsed[0])
+            records.rounds[done:hi], records.labels[:, done:hi], records.outcomes[done:hi] = parsed
+            done, line, first_blank = hi, line + lines, first_blank or blank
+            carried = size - cut
+            buf[:carried] = buf[cut:size]
+            if carried >= _LONGEST_LINE:
+                raise _bad_line(path, line, bytes(buf[:carried]))
+        if carried:
+            raise _bad_line(path, line, bytes(buf[:carried]))
+        if first_blank:
+            raise _bad_line(path, first_blank, b"")
     # the file is the writer's text, so record i is on line i + 2
     rounds = records.rounds
     bad = np.flatnonzero(np.append(rounds[:1] < 0, rounds[1:] < rounds[:-1]))

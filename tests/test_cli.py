@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qss4.cli
+from qss4.postproc import read_key_file
 from qss4.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -265,6 +266,34 @@ def test_qss_run_bell_mode(tmp_path):
     report = (tmp_path / "session_report.txt").read_text()
     assert "kind=bell" in report
     assert "verdict=proceed" in report
+    assert "roundtrip=ok" in report
+
+
+def test_qss_run_attacked_bell_session_reaches_the_vernam_demo(tmp_path):
+    # the bell-attacked benchmark configuration: 8 % intercept-resend on party b
+    code = main(
+        [
+            "qss-run",
+            "--mode", "bell",
+            "--seed", "1",
+            "--visibility", "0.97",
+            "--rate", "3.0",
+            "--attack", "b:0.08",
+            "--windows", "100000",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    report = (tmp_path / "session_report.txt").read_text()
+    assert "kind=bell" in report and "verdict=proceed" in report
+    dealer = read_key_file(tmp_path / "dealer_key.hex")
+    access = read_key_file(tmp_path / "access_key.hex")
+    assert len(dealer.bits) > 0
+    assert np.array_equal(dealer.bits, access.bits)
+    cipher = read_key_file(tmp_path / "ciphertext.hex").bits
+    message = np.unpackbits(np.frombuffer(ExperimentConfig().message.encode(), dtype=np.uint8))
+    assert len(cipher) == min(len(message), len(dealer.bits))
+    assert np.array_equal(cipher ^ access.bits[:len(cipher)], message[:len(cipher)])
     assert "roundtrip=ok" in report
 
 

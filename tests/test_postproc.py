@@ -282,6 +282,23 @@ def test_privacy_amplify_matches_direct_convolution(n_in, n_out):
     assert np.array_equal(privacy_amplify(key, seed), direct)
 
 
+@pytest.mark.parametrize(
+    "n_in, n_out",
+    [
+        (600, 424),  # len(seed) = 1023 = 2**10 - 1
+        (600, 425),  # len(seed) = 1024 = 2**10, the padded length itself
+        (600, 426),  # len(seed) = 1025 = 2**10 + 1
+        (1024, 1),  # n_out = 1: len(seed) = n_in = 2**10
+    ],
+)
+def test_privacy_amplify_matches_dense_matrix_at_fft_length_edges(n_in, n_out):
+    rng = np.random.default_rng(n_in * 31 + n_out)
+    seed = ToeplitzSeed.random(n_in, n_out, rng)
+    key = rng.integers(0, 2, n_in, dtype=np.uint8)
+    direct = (_dense_matrix(seed).astype(np.int64) @ key) % 2
+    assert np.array_equal(privacy_amplify(key, seed), direct.astype(np.uint8))
+
+
 def test_privacy_amplify_residual_check_raises(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)

@@ -1,11 +1,17 @@
 import math
+import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import qss4.quantum
+import qss4.source
 from qss4.adversary import AttackConfig, enumerate_attack_branches
 from qss4.quantum import NoiseModel, PureState, make_psi4_minus, mode_axis, outcome_distribution
 from qss4.source import (
@@ -232,6 +238,98 @@ def test_record_file_rejects_bad_line_ends(tmp_path, body, line):
     path.write_bytes(f"{RECORD_HEADER}\n".encode() + body)
     with pytest.raises(ValueError, match=f"line {line} "):
         read_records(path)
+
+
+def _reference_text(records):
+    """The record file as an f-string per line prints it: a reference independent of the writer."""
+    lines = [RECORD_HEADER]
+    for r, labels, outcome in zip(records.rounds.tolist(), records.labels.T.tolist(),
+                                  records.outcomes.tolist()):
+        bits = "-1" if outcome < 0 else format(outcome, "04b")
+        lines.append(f"{r},{''.join(map(str, labels))},{bits}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _records(rounds, labels, outcomes):
+    return SessionData(np.array(rounds, dtype=np.int64),
+                       np.array(labels, dtype=np.uint8).reshape(-1, 4).T.copy(),
+                       np.array(outcomes, dtype=np.int8))
+
+
+#: Round indices at digit-width edges, up to 10**12 and the largest int64.
+_EDGE_ROUNDS = sorted({0, 1, 2**63 - 1} | {10**k + d for k in range(1, 13) for d in (-1, 0)})
+
+
+@st.composite
+def _record_sessions(draw):
+    """Non-decreasing rounds (count-all repeats included), labels and outcomes."""
+    n = draw(st.integers(0, 12))
+    rounds = draw(st.lists(st.one_of(st.sampled_from(_EDGE_ROUNDS), st.integers(0, 10**12)),
+                           min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rounds = np.repeat(np.sort(np.array(rounds, dtype=np.int64)), repeats)
+    labels = draw(st.lists(st.integers(0, 1), min_size=4 * len(rounds), max_size=4 * len(rounds)))
+    outcome = st.just(-1) if draw(st.booleans()) else st.integers(-1, 15)
+    outcomes = draw(st.lists(outcome, min_size=len(rounds), max_size=len(rounds)))
+    return _records(rounds, labels, outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_record_sessions(), st.sampled_from([1, 7, 1 << 16]), st.sampled_from([1, 7, 0, 1 << 22]))
+def test_record_file_matches_reference_renderer(records, chunk, block):
+    text = _reference_text(records)
+    # block 0 stands for the length of the first record line
+    block = block or len(text.split(b"\n")[1]) + 1
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qss4.source, "_CHUNK", chunk)
+        patch.setattr(qss4.source, "_BLOCK", block)
+        path = Path(tmp) / "session.records"
+        write_records(records, path)
+        assert path.read_bytes() == text
+        assert read_records(path) == records
+
+
+def test_record_text_matches_reference_at_int64_edges(tmp_path):
+    rounds = [-2**63, -2**63 + 1, -10**12, -10, -9, -1, 0, 9, 10, 2**63 - 1]
+    records = _records(rounds, [1, 0, 1, 1] * len(rounds), [-1, 0, 15, 5, -1, 9, 3, -1, 1, 2])
+    path = tmp_path / "session.records"
+    write_records(records, path)
+    assert path.read_bytes() == _reference_text(records)
+    with pytest.raises(ValueError, match=f"round index {-2**63} on line 2 "):
+        read_records(path)
+
+
+def _mutants(text):
+    """``text`` with one byte substituted, inserted or deleted, at every position."""
+    alphabet = b"\n\r019-, x"
+    for at in range(len(text) + 1):
+        yield text[:at] + text[at + 1:]
+        for byte in alphabet:
+            yield text[:at] + bytes([byte]) + text[at:]
+            yield text[:at] + bytes([byte]) + text[at + 1:]
+
+
+@pytest.mark.parametrize("block", [7, 1 << 22])
+def test_record_file_single_byte_mutants_are_named_or_exact(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(qss4.source, "_BLOCK", block)
+    records = _records([0, 9, 9, 10, 99, 100], [0, 1, 1, 0] * 6, [-1, 5, -1, 15, 0, -1])
+    path = tmp_path / "session.records"
+    write_records(records, path)
+    text = path.read_bytes()
+    header = len(RECORD_HEADER) + 1
+    for mutant in set(_mutants(text)) - {text}:
+        path.write_bytes(mutant)
+        try:
+            parsed = read_records(path)
+        except ValueError as error:
+            if mutant[:header] != text[:header]:
+                assert "header" in str(error)
+                continue
+            line = re.search(r"line (\d+) of", str(error))
+            assert line and 2 <= int(line[1]) <= mutant.count(b"\n") + 2, (mutant, error)
+        else:
+            write_records(parsed, path)
+            assert path.read_bytes() == mutant
 
 
 def _walk_one(cache, attack, bases, draws):
