@@ -13,14 +13,17 @@ the round index and the basis labels (:func:`_phase_codes`).
 Record files hold the header line :data:`RECORD_HEADER`, then one line
 ``round_index,labels,bits`` per record: labels and bits are four 0/1
 digits, party a first, and an undetected record's bits read ``-1``
-(``17,0110,1001``; ``18,1100,-1``). :func:`write_records` is the only
-statement of this grammar: :func:`read_records` parses the fields with
-numpy, then rejects the file unless it is, byte for byte, what the
-writer prints for the records it parsed.
+(``17,0110,1001``; ``18,1100,-1``). :func:`_record_text` is the only
+statement of this grammar; it renders records as numpy bytes for
+:func:`write_records`. :func:`read_records` reads the file in blocks of
+:data:`_BLOCK` bytes, parses each at the writer's fixed offsets from the
+line ends, and rejects the file unless each block is, byte for byte,
+what :func:`_record_text` prints for the records it parsed.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -373,7 +376,8 @@ _LINE_TAIL = [f",{labels},{bits}\n".encode() for labels in _BITS_TEXT for bits i
 _TAIL_WORDS = np.frombuffer(b"".join(tail.ljust(12) for tail in _LINE_TAIL),
                             dtype=np.uint32).reshape(-1, 3)
 #: The four ASCII digits of 0..9999, as one native uint32 word each.
-_DIGIT_WORDS = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)), dtype=np.uint32)
+_DIGIT_WORDS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 #: 10 ** k for k = 0..19; a round index has at most 19 digits and a sign.
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 #: Records rendered per write.
@@ -511,7 +515,7 @@ def read_records(path) -> SessionData:
         header = fh.readline(len(_HEADER_LINE))
         if header != _HEADER_LINE:
             raise ValueError(f"unexpected record file header: {header!r}")
-        buf = bytearray(_LONGEST_LINE + _BLOCK)
+        buf = bytearray(_LONGEST_LINE + min(_BLOCK, os.fstat(fh.fileno()).st_size))
         data = np.frombuffer(buf, dtype=np.uint8)
         n = 0
         while size := fh.readinto(buf):
