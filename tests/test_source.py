@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -276,6 +276,7 @@ def _record_sessions(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_record_sessions(), st.sampled_from([1, 7, 1 << 16]), st.sampled_from([1, 7, 0, 1 << 22]))
+@example(_records([], [], []), 1, 1)  # the header alone
 def test_record_file_matches_reference_renderer(records, chunk, block):
     text = _reference_text(records)
     # block 0 stands for the length of the first record line
@@ -296,6 +297,17 @@ def test_record_text_matches_reference_at_int64_edges(tmp_path):
     write_records(records, path)
     assert path.read_bytes() == _reference_text(records)
     with pytest.raises(ValueError, match=f"round index {-2**63} on line 2 "):
+        read_records(path)
+
+
+@pytest.mark.parametrize("digits", ["9223372036854775808", "18446744073709551616",
+                                    "9" * 20, "1" * 25, "1" * 400],
+                         ids=["2**63", "2**64", "20-digits", "25-digits", "400-digits"])
+def test_record_file_rejects_rounds_past_int64(tmp_path, digits):
+    # the parsed round wraps, so its text differs from the line
+    path = tmp_path / "bad.records"
+    _write_lines(path, "0,0000,-1", f"{digits},0110,0101")
+    with pytest.raises(ValueError, match="bad record line 3 of"):
         read_records(path)
 
 
@@ -326,7 +338,8 @@ def test_record_file_single_byte_mutants_are_named_or_exact(tmp_path, monkeypatc
                 assert "header" in str(error)
                 continue
             line = re.search(r"line (\d+) of", str(error))
-            assert line and 2 <= int(line[1]) <= mutant.count(b"\n") + 2, (mutant, error)
+            last = mutant.count(b"\n") + (not mutant.endswith(b"\n"))
+            assert line and 2 <= int(line[1]) <= last + 1, (mutant, error)
         else:
             write_records(parsed, path)
             assert path.read_bytes() == mutant
