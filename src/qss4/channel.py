@@ -16,15 +16,19 @@ carry outcome bits, and an audit pass over any transcript (including raw
 frames produced elsewhere) verifies that secret-bearing fields appear only
 in the reveal and parity-exchange message types.
 
-Every set of round positions on the wire is a bitmap: ``encode_mask``
-packs a 0/1 array with ``np.packbits`` and compresses it with zlib at
-level 1, as hex text, and ``decode_mask`` is its strict inverse.
-``payload_masks`` decodes and length-checks every bitmap of a payload;
-``decode_wire`` applies it to each frame it validates.
+Every set of round positions and every revealed bit string on the wire is
+a bitmap: ``encode_mask`` packs a 0/1 array with ``np.packbits``,
+compresses it with zlib at level 1 and writes the stream as base64 text.
+``decode_mask`` is its strict inverse; it accepts only the text
+``encode_mask`` itself would write for the decoded stream, so whitespace,
+bad padding and non-zero pad bits are errors. ``payload_masks`` decodes
+and length-checks every bitmap of a payload; ``decode_wire`` applies it
+to each frame it validates.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import threading
 import zlib
@@ -50,8 +54,8 @@ PAYLOAD_SCHEMA: dict[str, frozenset[str]] = {
     MSG_BASIS: frozenset({"n", "detected", "labels"}),
     MSG_SIFT: frozenset({"n", "key", "bell"}),
     MSG_SAMPLE_REQUEST: frozenset({"n", "sample"}),
-    MSG_SAMPLE_REVEAL: frozenset({"bits"}),
-    MSG_BELL_REVEAL: frozenset({"bits"}),
+    MSG_SAMPLE_REVEAL: frozenset({"n", "bits"}),
+    MSG_BELL_REVEAL: frozenset({"n", "bits"}),
     MSG_PARITY: frozenset(
         {"kind", "pass_index", "block_size", "ranges", "parities", "perm_seed", "verify_seed", "ok"}
     ),
@@ -155,26 +159,40 @@ def hex_to_bits(hex_string: str, length: int) -> np.ndarray:
 
 
 def encode_mask(mask) -> str:
-    """A 0/1 array as hex text of its packed bits, zlib-compressed at level 1."""
-    return zlib.compress(np.packbits(mask).tobytes(), 1).hex()
+    """A 0/1 array as base64 text of its packed bits, zlib-compressed at level 1."""
+    stream = zlib.compress(np.packbits(mask).tobytes(), 1)
+    return binascii.b2a_base64(stream, newline=False).decode("ascii")
 
 
 def decode_mask(text, n: int) -> np.ndarray:
     """Strict inverse of ``encode_mask``: the n entries as a bool array.
 
-    The text must be one complete zlib stream that inflates to exactly
-    ceil(n/8) bytes with zero padding bits. Inflation stops one byte past
-    that length, so an oversized stream costs no memory. Raises WireError.
+    The text must be the canonical base64 of one complete zlib stream
+    (re-encoding the decoded bytes gives back exactly ``text``) that
+    inflates to exactly ceil(n/8) bytes with zero padding bits. Inflation
+    stops one byte past that length, so an oversized stream costs no
+    memory. Raises WireError.
     """
     try:
+        if n < 0:
+            raise ValueError(f"entry count must be >= 0, got {n}")
+        stream = binascii.a2b_base64(text)
+        if binascii.b2a_base64(stream, newline=False).decode("ascii") != text:
+            raise ValueError("not the canonical base64 text of its bytes")
+        n_bytes = (n + 7) // 8
         inflate = zlib.decompressobj()
-        raw = inflate.decompress(bytes.fromhex(text), (n + 7) // 8 + 1)
-        bits = hex_to_bits(raw.hex(), n)
+        raw = inflate.decompress(stream, n_bytes + 1)
+        if len(raw) != n_bytes:
+            got = "more" if len(raw) > n_bytes else len(raw)
+            raise ValueError(f"{n} entries take {n_bytes} bytes, got {got}")
         if not inflate.eof or inflate.unused_data:
-            raise WireError("not exactly one complete zlib stream")
+            raise ValueError("not exactly one complete zlib stream")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        if bits[n:].any():
+            raise ValueError(f"padding bits after entry {n} are not zero")
     except (TypeError, ValueError, OverflowError, zlib.error) as exc:
         raise WireError(f"bad bitmap of {n!r} entries: {exc}") from exc
-    return bits.view(bool)
+    return bits[:n].view(bool)
 
 
 def payload_masks(msg_type: str, payload: dict) -> dict[str, np.ndarray]:
@@ -182,7 +200,8 @@ def payload_masks(msg_type: str, payload: dict) -> dict[str, np.ndarray]:
 
     A type whose schema has ``n`` carries one bitmap of n entries under
     each of its other keys, except ``labels``: an announcement's labels
-    hold one bit per record its ``detected`` bitmap marks. Other types
+    hold one bit per record its ``detected`` bitmap marks. A reveal's
+    ``bits`` are its n revealed outcome bits. Other types
     decode to {}. Raises WireError for a missing key or a bitmap that does
     not decode to its length.
     """

@@ -16,9 +16,12 @@ sends one ``BasisAnnouncement``: a bitmap of the records it detected and
 its basis labels there, so that announcement is also its detection
 announcement. The dealer's ``SiftDecision`` is a key bitmap and a Bell
 bitmap over the records, and a ``SampleRequest`` a bitmap over the key.
-Every bitmap goes through ``channel.encode_mask``, so no position list is
-built on this path. With equal seeds the full transcript is byte-identical
-run to run.
+The participants' check reveals (``SampleReveal``, ``BellReveal``) are
+``{"n", "bits"}``: their bits at the positions the dealer named, as one
+more bitmap, which the dealer decodes before it computes the check.
+Every bitmap goes through ``channel.encode_mask``, so no position or bit
+list is built on this path. With equal seeds the full transcript is
+byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -284,20 +287,36 @@ def _reveal(
 
     ``bits`` maps each party to its bits at the positions the dealer
     already named (a ``SampleRequest``, or the ``SiftDecision``'s Bell
-    bitmap), in increasing order, so a reveal carries the bits alone.
-    Returns the round parities: the dealer's bits XOR the three revealed
-    rows.
+    bitmap), in increasing order, so a reveal ``{"n", "bits"}`` carries
+    their count and the bits alone, as a bitmap. The dealer reads the
+    reveals from its inbox; returns the round parities it computes from
+    them (``_dealer_parities``).
     """
-    parity = bits[dealer].astype(np.uint8)
+    n = len(bits[dealer])
     for party in PARTIES:
-        if party == dealer:
-            continue
-        revealed = bits[party].astype(np.uint8, copy=False)
-        channel.send(
-            ProtocolMessage(msg_type, sender=party, payload={"bits": revealed.tolist()}),
-            to=dealer,
-        )
-        parity ^= revealed
+        if party != dealer:
+            payload = {"n": n, "bits": encode_mask(bits[party])}
+            channel.send(ProtocolMessage(msg_type, sender=party, payload=payload), to=dealer)
+    return _dealer_parities(dealer, bits[dealer], msg_type, channel.drain(dealer))
+
+
+def _dealer_parities(dealer: str, own: np.ndarray, msg_type: str, messages) -> np.ndarray:
+    """The ``dealer``'s ``own`` bits XOR the bits of the received reveals.
+
+    Raises WireError unless ``messages`` are one ``msg_type`` reveal from
+    each non-dealer, each of ``len(own)`` bits: as many as the positions
+    the dealer named.
+    """
+    senders = sorted(msg.sender for msg in messages)
+    if senders != sorted(p for p in PARTIES if p != dealer):
+        raise WireError(f"expected one {msg_type} from each non-dealer, got {senders}")
+    parity = np.array(own, dtype=np.uint8)
+    for msg in messages:
+        masks = payload_masks(msg.msg_type, msg.payload)
+        if msg.msg_type != msg_type or msg.payload["n"] != len(own):
+            raise WireError(f"{msg.msg_type} from {msg.sender} is not a {msg_type} "
+                            f"of {len(own)} bits")
+        parity ^= masks["bits"]
     return parity
 
 

@@ -1,3 +1,4 @@
+import binascii
 import json
 import sys
 import threading
@@ -31,7 +32,7 @@ from qss4.channel import (
     iter_frames,
     payload_masks,
 )
-from qss4.protocol import _dealer_table
+from qss4.protocol import _dealer_parities, _dealer_table
 
 
 def _mask(n, positions=()):
@@ -51,8 +52,8 @@ REPRESENTATIVE = [
                                        "labels": _mask(2, [0])}),
     ProtocolMessage(MSG_SIFT, "Alice", {"n": 5, "key": _mask(5, [3]), "bell": _mask(5)}),
     ProtocolMessage(MSG_SAMPLE_REQUEST, "Alice", {"n": 3, "sample": _mask(3, [1, 2])}),
-    ProtocolMessage(MSG_SAMPLE_REVEAL, "Claire", {"bits": [0, 1]}),
-    ProtocolMessage(MSG_BELL_REVEAL, "David", {"bits": [1]}),
+    ProtocolMessage(MSG_SAMPLE_REVEAL, "Claire", {"n": 2, "bits": _mask(2, [1])}),
+    ProtocolMessage(MSG_BELL_REVEAL, "David", {"n": 1, "bits": _mask(1, [0])}),
     ProtocolMessage(
         MSG_PARITY,
         "Alice",
@@ -157,9 +158,16 @@ def _announcements(draw):
     return {"n": len(detected), "detected": encode_mask(detected), "labels": encode_mask(labels)}
 
 
+@st.composite
+def _reveals(draw):
+    bits = np.array(draw(st.lists(st.integers(0, 1), max_size=20)), dtype=np.uint8)
+    return {"n": len(bits), "bits": encode_mask(bits)}
+
+
 _payload_strategies = {
     MSG_BASIS: _announcements(),
-    MSG_SAMPLE_REVEAL: st.fixed_dictionaries({"bits": st.lists(st.integers(0, 1), max_size=20)}),
+    MSG_SAMPLE_REVEAL: _reveals(),
+    MSG_BELL_REVEAL: _reveals(),
     MSG_PARITY: st.fixed_dictionaries(
         {
             "kind": st.sampled_from(["block_parities", "search_parity", "verify"]),
@@ -351,34 +359,59 @@ def test_mask_roundtrip(n, density, seed):
     assert (table[1][detected == 0] == -1).all() and (table[[0, 2, 3]] == -1).all()
 
 
+def _b64(stream: bytes) -> str:
+    return binascii.b2a_base64(stream, newline=False).decode()
+
+
+def _bad_bitmaps(mask):
+    """Bitmap faults every wire bitmap must reject: case -> (text, error).
+
+    ``mask`` has 13 entries and a zero last padding bit, as do both callers'.
+    """
+    text = encode_mask(mask)
+    stream = binascii.a2b_base64(text)
+    padded = np.packbits(mask)
+    padded[-1] |= 1
+    return {
+        "non-zero padding bits": (_b64(zlib.compress(padded.tobytes(), 1)), "padding bits"),
+        "corrupt zlib checksum": (_b64(stream[:-1] + bytes([stream[-1] ^ 1])),
+                                  "incorrect data check"),
+        "truncated zlib stream": (_b64(stream[:-1]), "complete zlib stream"),
+        "trailing bytes": (_b64(stream + b"\0"), "complete zlib stream"),
+        "truncated text": (text[:-1], "Incorrect padding"),
+        "not base64": ("zz", "Incorrect padding"),
+        "not ASCII": ("\u00e9" * 4, "only ASCII characters"),
+        "base64 with a newline": (text + "\n", "canonical base64"),
+        "base64 with a space": (text[:4] + " " + text[4:], "canonical base64"),
+        "base64 with non-zero pad bits": (text[:-3] + chr(ord(text[-3]) + 1) + text[-2:],
+                                          "canonical base64"),
+        "base64 without its padding": (text.rstrip("="), "Incorrect padding"),
+        "inflates past ceil(n/8)": (_b64(zlib.compress(bytes(1 << 20), 1)),
+                                    "13 entries take 2 bytes, got more"),
+    }
+
+
 def _bad_announcements():
     """Announcements over 13 records that must never decode: case -> (payload, error)."""
     n = 13
     detected = np.zeros(n, dtype=np.uint8)
     detected[[0, 2, 5, 12]] = 1
     good = {"n": n, "detected": encode_mask(detected), "labels": encode_mask([1, 0, 1, 1])}
-    text = good["detected"]
-    padded = np.packbits(detected)
-    padded[-1] |= 1
-    too_long = "13 bits take 4 hex characters, got 6"
+    cases = {case: ({**good, "detected": text}, error)
+             for case, (text, error) in _bad_bitmaps(detected).items()}
     return {
-        "wrong n": ({**good, "n": n + 8}, "21 bits take 6 hex characters, got 4"),
+        **cases,
+        "wrong n": ({**good, "n": n + 8}, "21 entries take 3 bytes, got 2"),
         "n not an int": ({**good, "n": 13.0}, "non-negative int"),
-        "non-zero padding bits": (
-            {**good, "detected": zlib.compress(padded.tobytes(), 1).hex()}, "padding bits"),
         "labels longer than popcount": (
-            {**good, "labels": encode_mask(np.ones(12, np.uint8))}, "4 bits take 2 hex characters"),
+            {**good, "labels": encode_mask(np.ones(12, np.uint8))},
+            "4 entries take 1 bytes, got more"),
         "labels shorter than popcount": (
-            {**good, "labels": encode_mask(np.zeros(0, np.uint8))}, "4 bits take 2 hex characters"),
-        "corrupt zlib checksum": (
-            {**good, "detected": text[:-2] + f"{int(text[-2:], 16) ^ 1:02x}"},
-            "incorrect data check"),
-        "truncated zlib stream": ({**good, "detected": text[:-2]}, "complete zlib stream"),
-        "trailing bytes": ({**good, "detected": text + "00"}, "complete zlib stream"),
-        "not hex": ({**good, "detected": "zz"}, "non-hexadecimal"),
-        "inflates past ceil(n/8)": (
-            {**good, "detected": zlib.compress(bytes(1 << 20), 1).hex()}, too_long),
-        "missing key": ({"n": n, "detected": text}, r"lacks keys \['labels'\]"),
+            {**good, "labels": encode_mask(np.zeros(0, np.uint8))},
+            "4 entries take 1 bytes, got 0"),
+        "old hex bitmap": ({**good, "detected": zlib.compress(np.packbits(detected), 1).hex()},
+                           "incorrect header check"),
+        "missing key": ({"n": n, "detected": good["detected"]}, r"lacks keys \['labels'\]"),
     }
 
 
@@ -391,6 +424,62 @@ def test_bad_announcement_is_wire_error(case):
     with pytest.raises(WireError, match=error):
         _dealer_table(table, [ProtocolMessage(MSG_BASIS, "Bob", payload)])
     assert (table == -1).all()
+
+
+def _bad_reveals():
+    """Reveals of the 13 bits the dealer named that must never decode: case -> (payload, error)."""
+    n = 13
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[[1, 4, 5, 11]] = 1
+    good = {"n": n, "bits": encode_mask(bits)}
+    cases = {case: ({**good, "bits": text}, error)
+             for case, (text, error) in _bad_bitmaps(bits).items()}
+    return {
+        **cases,
+        "wrong n": ({**good, "n": n + 8}, "21 entries take 3 bytes, got 2"),
+        "n not an int": ({**good, "n": True}, "non-negative int"),
+        "list-form bits": ({**good, "bits": bits.tolist()}, "not 'list'"),
+        "old hex bitmap": ({**good, "bits": zlib.compress(np.packbits(bits), 1).hex()},
+                           "incorrect header check"),
+        "missing n": ({"bits": good["bits"]}, r"lacks keys \['n'\]"),
+    }
+
+
+def _reveals_to_dealer(msg_type, bad_payload):
+    """Three reveals of 13 bits to Alice, Bob's carrying ``bad_payload``."""
+    good = {"n": 13, "bits": encode_mask(np.ones(13, np.uint8))}
+    return [ProtocolMessage(msg_type, "Bob", bad_payload),
+            ProtocolMessage(msg_type, "Claire", good),
+            ProtocolMessage(msg_type, "David", good)]
+
+
+@pytest.mark.parametrize("case", sorted(_bad_reveals()))
+@pytest.mark.parametrize("msg_type", [MSG_SAMPLE_REVEAL, MSG_BELL_REVEAL])
+def test_bad_reveal_is_wire_error(msg_type, case):
+    payload, error = _bad_reveals()[case]
+    with pytest.raises(WireError, match=error):
+        decode_wire(_raw_frame({"type": msg_type, "sender": "Bob", "payload": payload}))
+    with pytest.raises(WireError, match=error):
+        _dealer_parities("Alice", np.zeros(13, np.uint8), msg_type,
+                         _reveals_to_dealer(msg_type, payload))
+
+
+def test_dealer_parities_check_count_type_and_senders():
+    own = np.zeros(13, np.uint8)
+    own[[0, 12]] = 1
+    reveals = _reveals_to_dealer(MSG_BELL_REVEAL, {"n": 13, "bits": _mask(13, [0, 2])})
+    parities = _dealer_parities("Alice", own, MSG_BELL_REVEAL, reveals)
+    assert np.flatnonzero(parities).tolist() == [2, 12]
+    # a well-formed reveal of 12 bits decodes, but the dealer named 13 positions
+    short = ProtocolMessage(MSG_BELL_REVEAL, "Bob", {"n": 12, "bits": _mask(12, [0])})
+    assert decode_wire(encode_wire(short)) == short
+    with pytest.raises(WireError, match="BellReveal from Bob is not a BellReveal of 13 bits"):
+        _dealer_parities("Alice", own, MSG_BELL_REVEAL, [short] + reveals[1:])
+    with pytest.raises(WireError, match="BellReveal from Bob is not a SampleReveal of 13 bits"):
+        _dealer_parities("Alice", own, MSG_SAMPLE_REVEAL, reveals)
+    for senders in (reveals[:2], reveals + reveals[2:], reveals[1:] + [_tag("Alice", 13)]):
+        with pytest.raises(WireError, match="one BellReveal from each non-dealer"):
+            _dealer_parities("Alice", own, MSG_BELL_REVEAL, senders)
 
 
 def test_dealer_table_checks_records_and_type():

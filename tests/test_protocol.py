@@ -11,7 +11,9 @@ from qss4.adversary import AttackConfig
 from qss4.channel import (
     MSG_ABORT,
     MSG_BASIS,
+    MSG_BELL_REVEAL,
     MSG_SAMPLE_REQUEST,
+    MSG_SAMPLE_REVEAL,
     MSG_SIFT,
     PARTIES,
     Channel,
@@ -350,14 +352,45 @@ def test_one_basis_announcement_per_party(kwargs):
         assert np.array_equal(masks["labels"], result.records.labels[row, detected])
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(mode=Mode.QBER, visibility=0.9, target_sifted_bits=1000, seed=103, dealer="David"),
+    dict(mode=Mode.BELL, visibility=0.97, n_windows=4000, seed=107),
+])
+def test_reveals_decode_to_bits_at_named_positions(kwargs):
+    result = run_protocol(source_config=FAST_SOURCE, **kwargs)
+    transcript = result.channel.transcript
+    decision = next(m for m in transcript if m.msg_type == MSG_SIFT)
+    sifted = payload_masks(MSG_SIFT, decision.payload)
+    if kwargs["mode"] is Mode.QBER:
+        reveal_type = MSG_SAMPLE_REVEAL
+        request = next(m for m in transcript if m.msg_type == MSG_SAMPLE_REQUEST)
+        sample = payload_masks(MSG_SAMPLE_REQUEST, request.payload)["sample"]
+        named = np.flatnonzero(sifted["key"])[sample]
+    else:
+        reveal_type = MSG_BELL_REVEAL
+        named = np.flatnonzero(sifted["bell"])
+    assert len(named) == result.check_report.sample_size > 0
+    bits = dict(zip(PARTIES, result.records.bits_at(named)))
+    reveals = [m for m in transcript if m.msg_type == reveal_type]
+    assert sorted(m.sender for m in reveals) == sorted(p for p in PARTIES if p != result.dealer)
+    for msg in reveals:
+        assert msg.payload["n"] == len(named)
+        assert np.array_equal(payload_masks(reveal_type, msg.payload)["bits"], bits[msg.sender])
+
+
 @pytest.mark.parametrize("kwargs, bound", [
     # 1.65 B/record with bitmaps; the list-based format took 29.0
-    (dict(visibility=0.95, target_sifted_bits=2000, source_config=FAST_SOURCE), 4.0),
+    (dict(mode=Mode.QBER, visibility=0.95, target_sifted_bits=2000, source_config=FAST_SOURCE),
+     4.0),
     # 0.190 B/record with bitmaps; the list-based format took 16,288 B = 0.2715
-    (dict(visibility=1.0, n_windows=60_000, source_config=SourceConfig.lab_preset()), 0.2715),
+    (dict(mode=Mode.QBER, visibility=1.0, n_windows=60_000,
+          source_config=SourceConfig.lab_preset()), 0.2715),
+    # 68,821 B = 1.147 B/record with base64 bitmaps and packed reveals; hex bitmaps
+    # took 1.71 with packed reveals and 2.71 with the reveals as 0/1 lists
+    (dict(mode=Mode.BELL, visibility=0.97, n_windows=60_000, source_config=FAST_SOURCE), 1.3),
 ])
 def test_wire_bytes_per_record(kwargs, bound):
-    result = run_protocol(mode=Mode.QBER, seed=31, **kwargs)
+    result = run_protocol(seed=31, **kwargs)
     wire = sum(len(encode_wire(m)) for m in result.channel.transcript)
     assert wire / result.counts.records <= bound
 
